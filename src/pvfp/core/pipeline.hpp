@@ -6,9 +6,7 @@
 /// extraction of Section IV feeding the algorithm of Section III), and the
 /// single entry point used by examples and benches.
 
-#include <functional>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 
@@ -17,6 +15,7 @@
 #include "pvfp/core/greedy_placer.hpp"
 #include "pvfp/core/roof_library.hpp"
 #include "pvfp/core/suitability.hpp"
+#include "pvfp/geo/horizon.hpp"
 #include "pvfp/solar/sky_artifact.hpp"
 #include "pvfp/weather/synthetic.hpp"
 
@@ -52,10 +51,7 @@ struct ScenarioConfig {
     /// windows satisfy the determinism contract: served planes are
     /// bitwise-identical to a fresh HorizonMap over the same terrain,
     /// independent of thread count and eviction order.
-    std::function<std::optional<geo::HorizonMap>(
-        const geo::Raster& dsm, int x0, int y0, int w, int h,
-        const geo::HorizonOptions& options)>
-        horizon_provider;
+    geo::HorizonProvider horizon_provider;
 };
 
 /// A scenario with all derived data materialized, ready for experiments.

@@ -13,6 +13,8 @@
 /// The same horizon data yields the sky-view factor used to attenuate
 /// diffuse irradiance for cells next to obstructions.
 
+#include <functional>
+#include <optional>
 #include <vector>
 
 #include "pvfp/geo/raster.hpp"
@@ -124,6 +126,13 @@ private:
     std::vector<float> angles_;
     std::vector<float> svf_;
 };
+
+/// A shared horizon source: the HorizonMap of the window (\p x0, \p y0,
+/// \p w, \p h) of \p dsm, or std::nullopt to march it locally (see
+/// core::ScenarioConfig::horizon_provider).
+using HorizonProvider = std::function<std::optional<HorizonMap>(
+    const Raster& dsm, int x0, int y0, int w, int h,
+    const HorizonOptions& options)>;
 
 /// Retained per-cell reference builder: marches every (cell, sector) with
 /// the original scalar loop.  The differential oracle the batched kernels

@@ -238,21 +238,8 @@ CityRunSummary run_city(const TileIndex& tiles, const RoofRegistry& registry,
                 if (horizon_cache) {
                     // Shared planes answer the full run-uniform
                     // max_distance over real halo terrain, so the
-                    // window cap below does not apply.  The closure
-                    // maps the scene-local window back onto the tile
-                    // lattice via the pre-rebase world origin.
-                    HorizonCache* hc = horizon_cache;
-                    const double wx = origin.x;
-                    const double wy = origin.y;
-                    const double cs = tiles.cell_size();
-                    config.horizon_provider =
-                        [hc, wx, wy, cs](const geo::Raster&, int x0, int y0,
-                                         int w, int h,
-                                         const geo::HorizonOptions&)
-                        -> std::optional<geo::HorizonMap> {
-                        return hc->window(wx + x0 * cs, wy - y0 * cs, x0,
-                                          y0, w, h);
-                    };
+                    // window cap below does not apply.
+                    config.horizon_provider = horizon_cache->provider(origin);
                 } else {
                     // The mosaic holds real heights only out to the
                     // context margin; marching the horizon rays further
@@ -376,7 +363,7 @@ CityRunSummary run_city(const TileIndex& tiles, const RoofRegistry& registry,
 
     // Re-export the run's component stats through the global registry so
     // one snapshot covers the whole process.  Counts are pure functions
-    // of the workload (joins count as hits in the horizon cache), so
+    // of the workload (joins count as hits, as the summary's do), so
     // they are thread-count-invariant; byte totals are point-in-time
     // state and go to gauges.  Registration is the cold path — once per
     // run, not per roof.
@@ -393,13 +380,14 @@ CityRunSummary run_city(const TileIndex& tiles, const RoofRegistry& registry,
         reg.gauge("gis.tile_cache.bytes")
             .set(static_cast<double>(cache.bytes()));
         if (horizon_cache) {
-            const HorizonCacheStats hs = horizon_cache->stats();
-            reg.counter("gis.horizon_cache.hits").add(hs.hits);
-            reg.counter("gis.horizon_cache.joins").add(hs.joins);
-            reg.counter("gis.horizon_cache.misses").add(hs.misses);
-            reg.counter("gis.horizon_cache.evictions").add(hs.evictions);
+            reg.counter("gis.horizon_cache.hits")
+                .add(summary.horizon_cache_hits);
+            reg.counter("gis.horizon_cache.misses")
+                .add(summary.horizon_cache_misses);
+            reg.counter("gis.horizon_cache.evictions")
+                .add(summary.horizon_cache_evictions);
             reg.gauge("gis.horizon_cache.bytes")
-                .set(static_cast<double>(hs.bytes));
+                .set(static_cast<double>(summary.horizon_cache_bytes));
         }
     }
     return summary;

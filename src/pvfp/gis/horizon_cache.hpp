@@ -29,10 +29,10 @@
 /// Entries are keyed on the macro index plus a content fingerprint of
 /// the contributing tiles (FNV-1a over each intersecting tile's decoded
 /// heights, memoized per path) and the effective HorizonOptions + march
-/// distance, so a changed tile self-invalidates.  Residency follows the
-/// TileCache patterns: per-key in-flight build dedup (concurrent
-/// requesters of one macro tile march it once and share the planes) and
-/// LRU eviction under a byte budget.
+/// distance, so a changed tile self-invalidates: the fingerprint is the
+/// entry's KeyedCache content tag.  Concurrent requesters of one macro
+/// tile march it once and share the planes; residency is LRU under a
+/// byte budget.
 ///
 /// NODATA cells of a macro mosaic are backfilled with the mosaic's
 /// minimum data height (the make_scenario convention; 0 when the mosaic
@@ -40,16 +40,15 @@
 /// content-pure.
 
 #include <cstdint>
-#include <list>
-#include <map>
 #include <memory>
-#include <mutex>
-#include <condition_variable>
-#include <unordered_map>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "pvfp/geo/horizon.hpp"
+#include "pvfp/gis/roof_registry.hpp"
 #include "pvfp/gis/tile_index.hpp"
+#include "pvfp/util/keyed_cache.hpp"
 
 namespace pvfp::gis {
 
@@ -64,13 +63,10 @@ struct HorizonCacheOptions {
     std::size_t byte_budget = 256ull << 20;
 };
 
-struct HorizonCacheStats {
-    std::size_t hits = 0;        ///< macro lookups served resident
-    std::size_t misses = 0;      ///< macro builds initiated
-    std::size_t joins = 0;       ///< waits on another thread's build
-    std::size_t evictions = 0;   ///< entries dropped for the budget
-    std::size_t bytes = 0;       ///< resident plane bytes
-};
+/// hits: lookups served resident; joins: waits on another thread's
+/// build; misses: macro builds initiated; evictions: entries dropped for
+/// the budget; bytes: resident plane bytes.
+using HorizonCacheStats = CacheStats;
 
 /// Thread-safe shared horizon plane cache over one TileIndex.
 class HorizonCache {
@@ -88,13 +84,19 @@ public:
     geo::HorizonMap window(double origin_x, double origin_y, int x0, int y0,
                            int w, int h);
 
+    /// The horizon source of a scenario whose mosaic window has its
+    /// north-west corner at \p origin: maps the scene-local placement
+    /// window back onto the tile lattice and serves it from the cache.
+    /// The cache must outlive the returned provider.
+    geo::HorizonProvider provider(const WindowOrigin& origin);
+
     const HorizonCacheOptions& options() const { return options_; }
-    HorizonCacheStats stats() const;
-    std::size_t bytes_used() const;
+    HorizonCacheStats stats() const { return planes_.stats(); }
+    std::size_t bytes_used() const { return planes_.stats().bytes; }
 
     /// Drop least-recently-used entries until resident bytes <= \p limit
     /// (serve budget integration).  Never interrupts an in-flight build.
-    void shrink_to(std::size_t limit);
+    void shrink_to(std::size_t limit) { planes_.shrink_to(limit); }
 
     /// Drop every resident entry and content memo (serve reload).
     void clear();
@@ -110,40 +112,21 @@ private:
             return (angles.size() + svf.size()) * sizeof(float);
         }
     };
-    struct InFlight {
-        std::mutex mutex;
-        std::condition_variable done_cv;
-        bool done = false;
-        std::shared_ptr<const Planes> result;
-        std::exception_ptr error;
-    };
-    using MacroKey = std::pair<long, long>;
-    struct Entry {
-        MacroKey key;
-        std::uint64_t content_key = 0;
-        std::shared_ptr<const Planes> planes;
-    };
 
-    std::shared_ptr<const Planes> macro_planes(long mx, long my);
     std::shared_ptr<const Planes> build_macro(long mx, long my) const;
     std::uint64_t content_key(long mx, long my);
     std::uint64_t tile_content_hash(const TileInfo& tile);
     WorldRect macro_core_rect(long mx, long my) const;
-    void evict_over_budget_locked();
 
     const TileIndex& tiles_;
     TileCache* tile_cache_;
     HorizonCacheOptions options_;
     double halo_m_ = 0.0;
     std::uint64_t options_key_ = 0;
-
-    mutable std::mutex mutex_;
-    std::list<Entry> lru_;  ///< front = most recently used
-    std::map<MacroKey, std::list<Entry>::iterator> index_;
-    std::map<MacroKey, std::shared_ptr<InFlight>> in_flight_;
-    std::unordered_map<std::string, std::uint64_t> tile_hash_memo_;
-    std::size_t bytes_ = 0;
-    HorizonCacheStats stats_;
+    /// Macro index -> sector planes, tagged with the content key.
+    KeyedCache<std::pair<long, long>, Planes> planes_;
+    /// Tile path -> content fingerprint (unbounded: 8 bytes per tile).
+    KeyedCache<std::string, std::uint64_t> tile_hashes_;
 };
 
 }  // namespace pvfp::gis

@@ -19,18 +19,16 @@
 /// Entries are content-hashed over the registry record and the build
 /// knobs, so an index edit (new bbox, moved polygon, changed site)
 /// invalidates exactly the affected roofs on their next request after
-/// update_registry — stale state can never serve.  Concurrent requests
-/// for the same cold roof join one in-flight build (waiting on that
-/// build's own latch, never a state-wide lock); requests for different
-/// roofs prepare fully in parallel.  All responses derived from a
+/// update_registry — stale state can never serve.  Both the roof and the
+/// sky layers are KeyedCaches: concurrent requests for the same cold roof
+/// join one in-flight build, and requests for different roofs prepare
+/// fully in parallel.  All responses derived from a
 /// PreparedRoof are bitwise deterministic at any thread count (the
 /// PR-2..PR-5 contract), so caching is invisible in the output bytes —
 /// the property the serving plane's replay gate rests on.
 
 #include <cstddef>
 #include <cstdint>
-#include <list>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -42,6 +40,7 @@
 #include "pvfp/gis/horizon_cache.hpp"
 #include "pvfp/gis/roof_registry.hpp"
 #include "pvfp/gis/tile_index.hpp"
+#include "pvfp/util/keyed_cache.hpp"
 
 namespace pvfp::serve {
 
@@ -148,14 +147,11 @@ public:
     ResidentStats stats() const;
 
 private:
-    struct Build;  // one in-flight preparation
-
     std::shared_ptr<PreparedRoof> build_roof(const gis::RoofRecord& record,
                                              std::uint64_t hash);
     std::shared_ptr<const solar::SharedSkyArtifact> sky_for(
         const solar::Location& location);
-    void evict_over_budget_locked();
-    void drop_entry_locked(const std::string& roof_id, bool stale);
+    void evict_over_budget();
 
     gis::TileIndex tiles_;
     ServeConfig serve_config_;
@@ -171,25 +167,13 @@ private:
     /// id -> record index of *registry_ (rebuilt on update_registry).
     std::shared_ptr<const std::unordered_map<std::string, long>> by_id_;
 
-    mutable std::mutex mutex_;  ///< guards everything below
-    struct EntryRef {
-        std::shared_ptr<const PreparedRoof> roof;
-        std::list<std::string>::iterator lru_it;
-    };
-    std::unordered_map<std::string, EntryRef> entries_;
-    std::list<std::string> lru_;  ///< front = most recently used
-    std::unordered_map<std::string, std::shared_ptr<Build>> in_flight_;
-    std::size_t entry_bytes_ = 0;
-    std::size_t hits_ = 0;
-    std::size_t misses_ = 0;
-    std::size_t evictions_ = 0;
-    std::size_t invalidations_ = 0;
-
-    mutable std::mutex sky_mutex_;
-    std::map<std::pair<double, double>,
-             std::shared_ptr<const solar::SharedSkyArtifact>>
-        sky_cache_;
-    std::unordered_map<std::string, std::shared_ptr<Build>> sky_in_flight_;
+    /// Roof id -> prepared roof, tagged with the record content hash.
+    /// Unbounded itself: evict_over_budget applies the memory budget.
+    KeyedCache<std::string, PreparedRoof> roofs_;
+    /// Site (lat, lon) -> sky artifact; an artifact stays while a
+    /// resident roof uses it.
+    KeyedCache<std::pair<double, double>, solar::SharedSkyArtifact> skies_;
+    std::mutex budget_mutex_;  ///< serializes eviction passes
 };
 
 /// Actual buffer footprint of a prepared scenario (the accounting unit

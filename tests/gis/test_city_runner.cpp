@@ -197,6 +197,14 @@ TEST(CityRunner, TelemetryOnOffAndThreadCountsGiveSameBytes) {
     };
     const auto [on1, counters1] = run_with_obs(city.dir + "/on1.jsonl", 1);
     const auto [on8, counters8] = run_with_obs(city.dir + "/on8.jsonl", 8);
+    // The shared-horizon leg adds the horizon cache's counters, which
+    // must be thread-count-invariant too.  One shard holds every roof,
+    // so at 8 threads the roofs race for the same macro tiles.
+    options.share_horizon = true;
+    options.config.horizon.max_distance = 40.0;
+    options.shard_size = 16;
+    const auto [sh1, shared1] = run_with_obs(city.dir + "/sh1.jsonl", 1);
+    const auto [sh8, shared8] = run_with_obs(city.dir + "/sh8.jsonl", 8);
     obs::registry().reset_for_tests();
     obs::reset_trace_for_tests();
     obs::set_enabled(was_enabled);
@@ -205,6 +213,7 @@ TEST(CityRunner, TelemetryOnOffAndThreadCountsGiveSameBytes) {
     ASSERT_FALSE(off.empty());
     EXPECT_EQ(off, on1);   // telemetry on/off: same bytes
     EXPECT_EQ(on1, on8);   // and thread-count invariant as ever
+    EXPECT_EQ(sh1, sh8);
 
 #ifndef PVFP_OBS_DISABLED
     // The full deterministic counter set — every span.* call count and
@@ -214,6 +223,9 @@ TEST(CityRunner, TelemetryOnOffAndThreadCountsGiveSameBytes) {
         << counters1;
     EXPECT_NE(counters1.find("span.city.roof=9"), std::string::npos)
         << counters1;
+    EXPECT_EQ(shared1, shared8);
+    EXPECT_NE(shared1.find("gis.horizon_cache.hits="), std::string::npos)
+        << shared1;
 #endif
 }
 

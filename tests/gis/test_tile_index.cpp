@@ -300,6 +300,14 @@ TEST(TileCache, LoaderErrorPropagatesToAllWaitersAndIsRetryable) {
             }
         });
     ASSERT_TRUE(gate.await_started("tile_bad", 1));
+    // Release only once both joiners are attached to the failing decode:
+    // a thread arriving after it failed would start a decode of its own.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    while (cache.stats().joins < 2 &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ASSERT_EQ(cache.stats().joins, 2u);
     gate.release("tile_bad");
     for (std::thread& t : threads) t.join();
     EXPECT_EQ(failures.load(), 3);  // owner and every joiner throw

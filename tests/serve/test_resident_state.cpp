@@ -233,6 +233,91 @@ TEST(ResidentState, ConcurrentPreparesShareOneBuild) {
     EXPECT_EQ(state.stats().hits, 3u);
 }
 
+/// Rewrite \p city's index as \p n copies of its first roof, "site_<i>",
+/// whose latitudes step by 1e-7 degrees, and load it.
+gis::RoofRegistry write_site_copies(const ServeCity& city, int n) {
+    const std::string index_path = city.dir + "/index.csv";
+    std::ifstream is(index_path);
+    std::string header, row;
+    std::getline(is, header);
+    std::getline(is, row);
+    is.close();
+    std::vector<std::string> fields;  // id .. lon
+    std::istringstream cells(row);
+    for (int f = 0; f < 7; ++f) {
+        std::string cell;
+        std::getline(cells, cell, ',');
+        fields.push_back(cell);
+    }
+    std::string rest;  // the polygon column
+    std::getline(cells, rest);
+    std::ostringstream edited;
+    edited << header << "\n";
+    for (int i = 0; i < n; ++i) {
+        char lat[32];
+        std::snprintf(lat, sizeof lat, "%.7f",
+                      std::stod(fields[5]) + i * 1e-7);
+        edited << "site_" << i << ',' << fields[1] << ',' << fields[2]
+               << ',' << fields[3] << ',' << fields[4] << ',' << lat << ','
+               << fields[6] << ',' << rest << "\n";
+    }
+    std::ofstream(index_path, std::ios::trunc) << edited.str();
+    return gis::RoofRegistry::load(index_path);
+}
+
+TEST(ResidentState, ConcurrentSitesLessThanAMicrodegreeApartGetTheirOwnSky) {
+    // A six-decimal text key would merge these sites' in-flight sky
+    // builds and hand one site another's sun geometry (which the
+    // irradiance field then rejects, failing the request).
+    const ServeCity city("rs_sky_sites");
+    constexpr int kSites = 8;
+    const gis::RoofRegistry registry = write_site_copies(city, kSites);
+    // A longer sky precompute widens the window in which the builds
+    // overlap.
+    ServeConfig config = city.fast_config();
+    config.config.grid = TimeGrid(15, 1, 60);
+    for (int round = 0; round < 2; ++round) {
+        ResidentState state(city.tiles, registry, config);
+        std::atomic<bool> go{false};
+        std::vector<std::shared_ptr<const PreparedRoof>> roofs(kSites);
+        std::vector<std::thread> threads;
+        for (int i = 0; i < kSites; ++i)
+            threads.emplace_back([&, i] {
+                while (!go.load()) std::this_thread::yield();
+                try {
+                    roofs[i] = state.prepare(registry.record(i).id);
+                } catch (const std::exception& e) {
+                    ADD_FAILURE() << registry.record(i).id << ": " << e.what();
+                }
+            });
+        go.store(true);
+        for (std::thread& t : threads) t.join();
+        for (int i = 0; i < kSites; ++i) {
+            ASSERT_NE(roofs[i], nullptr);
+            EXPECT_EQ(roofs[i]->config.shared_sky->location.latitude_deg,
+                      registry.record(i).latitude_deg)
+                << registry.record(i).id << " round " << round;
+        }
+        EXPECT_EQ(state.stats().sky_artifacts,
+                  static_cast<std::size_t>(kSites));
+    }
+}
+
+TEST(ResidentState, EvictingARoofReleasesItsSiteSky) {
+    const ServeCity city("rs_sky_evict");
+    const gis::RoofRegistry registry = write_site_copies(city, 3);
+    ServeConfig config = city.fast_config();
+    config.memory_budget_bytes = 1;  // only the newest roof stays
+    ResidentState state(city.tiles, registry, std::move(config));
+    for (long i = 0; i < registry.size(); ++i) {
+        (void)state.prepare(registry.record(i).id);
+        const ResidentStats stats = state.stats();
+        EXPECT_EQ(stats.entries, 1u);
+        // The evicted roofs' skies are unused and dropped with them.
+        EXPECT_EQ(stats.sky_artifacts, 1u) << "after roof " << i;
+    }
+}
+
 TEST(ResidentState, HammerMixedPrepareInvalidateUnderContention) {
     // The TSan target: every path of the cache (hit, miss, join,
     // invalidate, evict) exercised from many threads at once.  The
