@@ -84,7 +84,7 @@ int main(int argc, char** argv) {
               << fixture.tiles_written << " tiles, " << minutes
               << "-minute grid, " << thread_count() << " threads\n\n";
 
-    const auto plan_request = [&](long i, long seq) {
+    const auto plan_request = [&](long i) {
         return "{\"op\":\"plan\",\"id\":\"" +
                registry.record(i % registry.size()).id +
                "\",\"series\":6,\"strings\":2}\n";
@@ -97,7 +97,7 @@ int main(int argc, char** argv) {
     for (int i = 0; i < kCold; ++i) {
         serve::Server server(tiles, registry, options);
         const auto t0 = Clock::now();
-        const std::string out = session(server, plan_request(i, 0));
+        const std::string out = session(server, plan_request(i));
         cold_ms += std::chrono::duration<double, std::milli>(Clock::now() -
                                                              t0)
                        .count();
@@ -114,9 +114,9 @@ int main(int argc, char** argv) {
     // ---- Warm: one resident server, same roofs round-robin.
     serve::Server server(tiles, registry, options);
     for (int i = 0; i < kCold; ++i)  // pre-warm the touched roofs
-        (void)session(server, plan_request(i, 0));
+        (void)session(server, plan_request(i));
     std::string warm_batch;
-    for (int i = 0; i < warm; ++i) warm_batch += plan_request(i % kCold, i);
+    for (int i = 0; i < warm; ++i) warm_batch += plan_request(i % kCold);
     const auto w0 = Clock::now();
     const std::string warm_out = session(server, warm_batch);
     const double warm_total =

@@ -13,7 +13,11 @@
 ///   s_ij = pG75_ij * (p_off - gamma*Tp75_ij) / (p_off - gamma*Tref)
 ///
 /// Percentiles are computed from fixed-range per-cell histograms (exact to
-/// bin width) so a full year over ~10^4 cells fits in a few MB.
+/// bin width).  The sweep is step-major over blocks of at most 256 cells:
+/// each worker holds one block's flat bin counts (bins x cells x 4 bytes
+/// per axis, 512 KiB at 256 bins) and writes the block's results before
+/// taking the next, so memory is bounded by the worker count, not the
+/// roof size.
 
 #include "pvfp/geo/suitable_area.hpp"
 #include "pvfp/solar/irradiance.hpp"

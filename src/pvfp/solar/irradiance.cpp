@@ -147,9 +147,8 @@ IrradianceField::IrradianceField(geo::HorizonMap horizon,
 
     // Daylight-packed twins: compact every per-step quantity the series
     // kernels touch over daylight steps only, in step order.  A stride-1
-    // daylight sweep (the evaluator shards, suitability with
-    // daylight_only sampling) then maps to a contiguous packed run and
-    // runs unit-stride with no gathers — see
+    // daylight sweep (the evaluator shards) then maps to a contiguous
+    // packed run and runs unit-stride with no gathers — see
     // cell_irradiance_series_unchecked.  Pure bitwise copies; ~50% of
     // steps are daylight, so this costs about half a plane set of extra
     // memory (accounted in serve::ResidentState's budget).
@@ -261,14 +260,7 @@ void IrradianceField::cell_irradiance_row(int y, long s, int x0, int x1,
                   x1 <= width(),
               "IrradianceField: row span out of range");
     if (x0 == x1) return;
-    const detail::FieldView v = view();
-    const SimdLevel lvl = simd_level();
-    if (lvl == SimdLevel::Avx512 && detail::avx512_kernels_compiled())
-        detail::cell_row_avx512(v, y, s, x0, x1, out);
-    else if (lvl != SimdLevel::Scalar && detail::avx2_kernels_compiled())
-        detail::cell_row_avx2(v, y, s, x0, x1, out);
-    else
-        detail::cell_row_scalar(v, y, s, x0, x1, out);
+    detail::row_kernel()(view(), y, s, x0, x1, out);
 }
 
 void IrradianceField::cell_irradiance_series(int x, int y,
@@ -289,12 +281,11 @@ void IrradianceField::cell_irradiance_series_unchecked(
     if (steps.empty()) return;
     // Packed fast path: when the step span is a contiguous daylight run
     // (every daylight step between steps.front() and steps.back(), in
-    // order — exactly what the stride-1 evaluator shards and
-    // daylight-filtered suitability sampling produce), sweep the packed
-    // planes unit-stride instead of gathering.  The O(n) detection scan
-    // is a table walk, far cheaper than the gathers it replaces; any
-    // mismatch (night step first, strides, scrambled order) falls back
-    // to the gather kernel.
+    // order — exactly what the stride-1 evaluator shards produce),
+    // sweep the packed planes unit-stride instead of gathering.  The
+    // O(n) detection scan is a table walk, far cheaper than the gathers
+    // it replaces; any mismatch (night step first, strides, scrambled
+    // order) falls back to the gather kernel.
     const long p0 = step_to_packed_[static_cast<std::size_t>(steps[0])];
     if (p0 >= 0) {
         bool contiguous = true;

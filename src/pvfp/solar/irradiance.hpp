@@ -28,8 +28,8 @@
 /// The per-step planes additionally carry *daylight-packed* twins: the
 /// same quantities compacted over daylight steps only, in step order.
 /// cell_irradiance_series detects contiguous daylight runs (the default
-/// stride-1 sweeps of the evaluator and suitability) and sweeps the
-/// packed planes unit-stride — no gathers, no night lanes — via
+/// stride-1 sweeps of the evaluator) and sweeps the packed planes
+/// unit-stride — no gathers, no night lanes — via
 /// cell_irradiance_packed; packed_to_step()/packed_index() map between
 /// the two step domains.
 
@@ -189,16 +189,17 @@ public:
 
     /// Unchecked fast path of cell_irradiance for inner loops that have
     /// already validated their iteration domain once at the boundary
-    /// (evaluator, suitability).  Precondition (debug-asserted): cell
-    /// inside the window and 0 <= s < steps().
+    /// (the evaluator).  Precondition (debug-asserted): cell inside the
+    /// window and 0 <= s < steps().
     double cell_irradiance_unchecked(int x, int y, long s) const;
 
     /// Batched row kernel: out[i] = cell_irradiance of cell (x0+i, y) at
     /// step \p s for i in [0, x1-x0).  Bitwise identical to calling
     /// cell_irradiance_unchecked per cell, at any SIMD level; validates
     /// the row, span, and step once (throws InvalidArgument).  This is
-    /// the fixed-step hot path of compute_suitability, the Fig. 6 maps,
-    /// and the footprint modes of anchor_irradiance_unchecked.
+    /// the fixed-step path of the Fig. 6 maps and the footprint modes of
+    /// anchor_irradiance_unchecked; compute_suitability calls the same
+    /// dispatched kernel (detail::row_kernel) directly per row run.
     void cell_irradiance_row(int y, long s, int x0, int x1,
                              double* out) const;
 
@@ -212,8 +213,8 @@ public:
 
     /// Unchecked fast path of cell_irradiance_series for callers that
     /// validated the cell and step span once at their own boundary
-    /// (anchor_irradiance_series sweeping a footprint, suitability's
-    /// per-cell sweep over one prevalidated sampled axis).
+    /// (the evaluator's anchor_irradiance_series sweeping a footprint,
+    /// its only caller).
     /// Preconditions (debug-asserted): cell inside the window, every
     /// steps[k] in [0, steps()).
     void cell_irradiance_series_unchecked(int x, int y,
@@ -226,9 +227,9 @@ public:
     /// identical to cell_irradiance_series on the corresponding original
     /// steps at any SIMD level.  cell_irradiance_series_unchecked calls
     /// this automatically when its step span is a contiguous daylight
-    /// run (the stride-1 evaluator/suitability sweeps), so callers only
-    /// need it when they already think in packed indices.  Validates the
-    /// cell and packed range (throws InvalidArgument).
+    /// run (the evaluator's stride-1 sweeps), so callers only need it
+    /// when they already think in packed indices.  Validates the cell
+    /// and packed range (throws InvalidArgument).
     void cell_irradiance_packed(int x, int y, long p0, long p1,
                                 double* out) const;
 

@@ -226,6 +226,15 @@ void bin_series_scalar(const double* g, std::size_t n, const double* t_air,
     }
 }
 
+RowKernel row_kernel() {
+    const SimdLevel lvl = simd_level();
+    if (lvl == SimdLevel::Avx512 && avx512_kernels_compiled())
+        return cell_row_avx512;
+    if (lvl != SimdLevel::Scalar && avx2_kernels_compiled())
+        return cell_row_avx2;
+    return cell_row_scalar;
+}
+
 void bin_series(const double* g, std::size_t n, const double* t_air,
                 double k_th, const BinAxis& ga, const BinAxis& ta,
                 std::int32_t* g_bins, std::int32_t* t_bins) {

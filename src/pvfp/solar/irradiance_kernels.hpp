@@ -73,6 +73,16 @@ void cell_series_avx512(const FieldView& f, int x, int y, const long* steps,
 void cell_packed_avx512(const FieldView& f, int x, int y, long p0, long p1,
                         double* out);
 
+/// Signature shared by the row kernel tiers above.
+using RowKernel = void (*)(const FieldView& f, int y, long s, int x0, int x1,
+                           double* out);
+
+/// The row kernel tier for the current simd_level() — the dispatch
+/// IrradianceField::cell_irradiance_row runs.  Sweeps that call the row
+/// kernel many times over one view (compute_suitability) resolve it
+/// once instead of per call.
+RowKernel row_kernel();
+
 /// One histogram axis for the fused suitability binning: the fixed
 /// bin grid of a pvfp::Histogram(lo, hi, bins).  width must equal
 /// (hi - lo) / bins exactly as the Histogram constructor computes it.
@@ -85,12 +95,10 @@ struct BinAxis {
 
 /// Fused suitability binning: for each sample k, g_bins[k] is the
 /// Histogram::bin_index of g[k] on \p ga and t_bins[k] the bin_index of
-/// t_air[k] + k_th * g[k] on \p ta — exactly the per-sample arithmetic
-/// compute_suitability used to run after the series kernel, now a
-/// branch-free elementwise pass (with an AVX-512 twin) fused onto the
-/// kernel output.  Bin indices are integers, so this is trivially
-/// deterministic; the expressions still replicate Histogram::bin_index
-/// case for case.
+/// t_air[k] + k_th * g[k] on \p ta — a branch-free elementwise pass
+/// (with an AVX-512 twin) over a row kernel's output.  Bin indices are
+/// integers, so this is trivially deterministic; the expressions still
+/// replicate Histogram::bin_index case for case.
 void bin_series_scalar(const double* g, std::size_t n, const double* t_air,
                        double k_th, const BinAxis& ga, const BinAxis& ta,
                        std::int32_t* g_bins, std::int32_t* t_bins);

@@ -145,35 +145,53 @@ double Histogram::bin_lower(int i) const {
     return lo_ + width_ * i;
 }
 
-double Histogram::percentile(double p) const {
-    check_arg(total_ > 0, "Histogram::percentile: empty histogram");
+double histogram_percentile(std::span<const std::uint32_t> counts, double lo,
+                            double hi, double p) {
     check_arg(p >= 0.0 && p <= 100.0,
-              "Histogram::percentile: p must be in [0,100]");
-    const double target = (p / 100.0) * static_cast<double>(total_);
+              "histogram_percentile: p must be in [0,100]");
+    const int bins = static_cast<int>(counts.size());
+    const double width = (hi - lo) / bins;
+    std::uint64_t total = 0;
+    for (const std::uint32_t c : counts) total += c;
+    check_arg(total > 0, "histogram_percentile: empty histogram");
+    const double target = (p / 100.0) * static_cast<double>(total);
     std::uint64_t cum = 0;
-    for (int i = 0; i < bin_count(); ++i) {
-        const std::uint32_t c = counts_[static_cast<std::size_t>(i)];
+    for (int i = 0; i < bins; ++i) {
+        const std::uint32_t c = counts[static_cast<std::size_t>(i)];
         if (static_cast<double>(cum) + c >= target) {
-            if (c == 0) return bin_lower(i);
+            if (c == 0) return lo + width * i;
             // Linear interpolation of the cumulative distribution within
             // the bin: fraction of the bin's mass below the target.
             const double frac =
                 (target - static_cast<double>(cum)) / static_cast<double>(c);
-            return bin_lower(i) + frac * width_;
+            return lo + width * i + frac * width;
         }
         cum += c;
     }
-    return hi_;
+    return hi;
+}
+
+double histogram_approx_mean(std::span<const std::uint32_t> counts,
+                             double lo, double hi) {
+    const int bins = static_cast<int>(counts.size());
+    const double width = (hi - lo) / bins;
+    std::uint64_t total = 0;
+    double acc = 0.0;
+    for (int i = 0; i < bins; ++i) {
+        const std::uint32_t c = counts[static_cast<std::size_t>(i)];
+        total += c;
+        acc += static_cast<double>(c) * (lo + width * i + 0.5 * width);
+    }
+    check_arg(total > 0, "histogram_approx_mean: empty histogram");
+    return acc / static_cast<double>(total);
+}
+
+double Histogram::percentile(double p) const {
+    return histogram_percentile(counts_, lo_, hi_, p);
 }
 
 double Histogram::approx_mean() const {
-    check_arg(total_ > 0, "Histogram::approx_mean: empty histogram");
-    double acc = 0.0;
-    for (int i = 0; i < bin_count(); ++i) {
-        acc += static_cast<double>(counts_[static_cast<std::size_t>(i)]) *
-               (bin_lower(i) + 0.5 * width_);
-    }
-    return acc / static_cast<double>(total_);
+    return histogram_approx_mean(counts_, lo_, hi_);
 }
 
 }  // namespace pvfp

@@ -56,6 +56,20 @@ private:
     double max_ = 0.0;
 };
 
+/// \p p-th percentile (p in [0,100]) of a fixed-range histogram given by
+/// its bin counts: \p counts.size() uniform bins over [\p lo, \p hi],
+/// cumulative counts with linear interpolation inside the containing
+/// bin.  The single implementation behind Histogram::percentile and the
+/// suitability sweep's flat count matrices.  Throws InvalidArgument when
+/// every count is zero or p is outside [0,100].
+double histogram_percentile(std::span<const std::uint32_t> counts, double lo,
+                            double hi, double p);
+
+/// Approximate mean of the same histogram using bin centers; throws
+/// InvalidArgument when every count is zero.
+double histogram_approx_mean(std::span<const std::uint32_t> counts,
+                             double lo, double hi);
+
 /// Fixed-range histogram with uniform bins and 32-bit counts.
 ///
 /// The floorplanner needs the 75th percentile of irradiance *per grid cell*

@@ -223,6 +223,12 @@ TEST(CityRunner, TelemetryOnOffAndThreadCountsGiveSameBytes) {
         << counters1;
     EXPECT_NE(counters1.find("span.city.roof=9"), std::string::npos)
         << counters1;
+    EXPECT_NE(counters1.find("core.suitability.cell_steps="),
+              std::string::npos)
+        << counters1;
+    EXPECT_NE(counters1.find("core.suitability.dark_steps_shared="),
+              std::string::npos)
+        << counters1;
     EXPECT_EQ(shared1, shared8);
     EXPECT_NE(shared1.find("gis.horizon_cache.hits="), std::string::npos)
         << shared1;
