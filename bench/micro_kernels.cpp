@@ -247,7 +247,8 @@ void BM_IrradianceSeriesScalarCells(benchmark::State& state) {
 }
 BENCHMARK(BM_IrradianceSeriesScalarCells);
 
-/// Batched series kernel at a given dispatch level (0 scalar, 1 AVX2).
+/// Batched series kernel (scalar only: SIMD twins measured 1.03-1.09x,
+/// below the 1.5x a twin must pay).
 void BM_IrradianceSeriesKernel(benchmark::State& state) {
     if (!apply_simd_arg(state)) return;
     const auto& field = toy_prepared().field;
@@ -264,10 +265,10 @@ void BM_IrradianceSeriesKernel(benchmark::State& state) {
                             static_cast<long>(steps.size()));
     set_simd_level_auto();
 }
-BENCHMARK(BM_IrradianceSeriesKernel)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_IrradianceSeriesKernel)->Arg(0);
 
 /// Footprint-mean anchor series (the IncrementalEvaluator's per-anchor
-/// work) through the batch path, per dispatch level.
+/// work) through the scalar series kernel.
 void BM_AnchorSeriesKernel(benchmark::State& state) {
     if (!apply_simd_arg(state)) return;
     const auto& prepared = toy_prepared();
@@ -288,11 +289,11 @@ void BM_AnchorSeriesKernel(benchmark::State& state) {
                             prepared.geometry.cell_count());
     set_simd_level_auto();
 }
-BENCHMARK(BM_AnchorSeriesKernel)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_AnchorSeriesKernel)->Arg(0);
 
 /// All daylight steps of the toy field at stride 1 — the realistic
-/// (≈50% daylight) series workload of the evaluator shards and the
-/// suitability sweep, contiguous in the packed index.
+/// (≈50% daylight) per-anchor series workload of the incremental
+/// evaluator, contiguous in the packed index.
 const std::vector<long>& toy_daylight_steps() {
     static const std::vector<long> steps = [] {
         const auto& field = toy_prepared().field;
@@ -304,36 +305,27 @@ const std::vector<long>& toy_daylight_steps() {
     return steps;
 }
 
-/// The pre-packing gather path on the full daylight series: the series
-/// kernel indexing the step planes through the per-step index list,
-/// night gaps and all (what cell_irradiance_series did for this
-/// workload before the daylight-packed planes landed).
+/// The pre-packing gather path on the full daylight series: the
+/// (scalar) series kernel indexing the step planes through the per-step
+/// index list, night gaps and all (what cell_irradiance_series did for
+/// this workload before the daylight-packed planes landed).
 void BM_DaylightSeriesGather(benchmark::State& state) {
-    if (!apply_simd_arg(state)) return;
     const auto& field = toy_prepared().field;
     const auto& steps = toy_daylight_steps();
     const solar::detail::FieldView view = field.view();
     std::vector<double> out(steps.size());
     int x = 0;
     for (auto _ : state) {
-        if (state.range(0) == 2)
-            solar::detail::cell_series_avx512(view, x, 1, steps.data(),
-                                              steps.size(), out.data());
-        else if (state.range(0) == 1)
-            solar::detail::cell_series_avx2(view, x, 1, steps.data(),
-                                            steps.size(), out.data());
-        else
-            solar::detail::cell_series_scalar(view, x, 1, steps.data(),
-                                              steps.size(), out.data());
+        solar::detail::cell_series_scalar(view, x, 1, steps.data(),
+                                          steps.size(), out.data());
         benchmark::DoNotOptimize(out.data());
         benchmark::ClobberMemory();
         x = (x + 1) % field.width();
     }
     state.SetItemsProcessed(state.iterations() *
                             static_cast<long>(steps.size()));
-    set_simd_level_auto();
 }
-BENCHMARK(BM_DaylightSeriesGather)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_DaylightSeriesGather)->Arg(0);
 
 /// The same workload through the public series entry, which detects the
 /// contiguous daylight run and takes the unit-stride packed kernel.

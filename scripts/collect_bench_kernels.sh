@@ -69,14 +69,12 @@ for base, kernel, label in [
      "row kernel (avx512) vs per-cell scalar"),
     ("BM_IrradianceSeriesScalarCells", "BM_IrradianceSeriesKernel/0",
      "series kernel (scalar batch) vs per-cell scalar"),
-    ("BM_IrradianceSeriesScalarCells", "BM_IrradianceSeriesKernel/1",
-     "series kernel (avx2) vs per-cell scalar"),
-    ("BM_IrradianceSeriesScalarCells", "BM_IrradianceSeriesKernel/2",
-     "series kernel (avx512) vs per-cell scalar"),
-    ("BM_DaylightSeriesGather/1", "BM_DaylightSeriesPacked/1",
-     "daylight series packed-vs-gather (avx2)"),
-    ("BM_DaylightSeriesGather/2", "BM_DaylightSeriesPacked/2",
-     "daylight series packed-vs-gather (avx512)"),
+    ("BM_DaylightSeriesGather/0", "BM_DaylightSeriesPacked/0",
+     "daylight series packed-vs-gather (scalar)"),
+    ("BM_DaylightSeriesGather/0", "BM_DaylightSeriesPacked/1",
+     "daylight series packed (avx2) vs gather (scalar)"),
+    ("BM_DaylightSeriesGather/0", "BM_DaylightSeriesPacked/2",
+     "daylight series packed (avx512) vs gather (scalar)"),
     ("BM_SharedSkyPrepareReference", "BM_SharedSkyPrepare/1",
      "shared-sky prepare batched-vs-reference (avx2)"),
     ("BM_SharedSkyPrepareReference", "BM_SharedSkyPrepare/2",

@@ -1,10 +1,13 @@
 #include "pvfp/core/evaluator.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <string>
 
+#include "pvfp/obs/metrics.hpp"
 #include "pvfp/pv/array.hpp"
+#include "pvfp/solar/irradiance_kernels.hpp"
 #include "pvfp/util/error.hpp"
 #include "pvfp/util/parallel.hpp"
 
@@ -15,6 +18,72 @@ namespace {
 /// thread count) so the shard grid — and therefore the order in which
 /// partial energies are merged — is reproducible at any parallelism.
 constexpr long kStepsPerShard = 256;
+
+/// Footprint cells [x0, x1) of window row y, stored at run-buffer
+/// slots [slot, slot + x1 - x0).
+struct Run {
+    int y;
+    int x0;
+    int x1;
+    int slot;
+};
+
+/// A plan's footprints as merged row runs, built once per evaluation:
+/// the spans the row kernel fills per step, and where each module's
+/// footprint rows sit in the run buffer.
+struct FootprintRuns {
+    std::vector<Run> runs;
+    /// Buffer slot of the first cell of footprint row r of module i,
+    /// at [i * rows + r].
+    std::vector<int> row_slot;
+    int rows = 0;   ///< footprint rows per module
+    int cols = 0;   ///< footprint cells per row
+    int cells = 0;  ///< run-buffer length: cells over all runs
+};
+
+/// Collect the footprint rows of every module (the k1 x k2 footprint,
+/// or the 1x1 anchor cell in AnchorCell mode), sort them by (row, x)
+/// and merge footprints that touch in x into one run, so a compact
+/// block becomes one run per window row.
+FootprintRuns footprint_runs(const Floorplan& plan, ModuleIrradiance mode) {
+    FootprintRuns fr;
+    const bool anchor = mode == ModuleIrradiance::AnchorCell;
+    fr.rows = anchor ? 1 : plan.geometry.k2;
+    fr.cols = anchor ? 1 : plan.geometry.k1;
+    struct Piece {
+        int y;
+        int x;
+        int index;  ///< module * rows + footprint row
+    };
+    std::vector<Piece> pieces;
+    pieces.reserve(static_cast<std::size_t>(plan.module_count()) *
+                   static_cast<std::size_t>(fr.rows));
+    for (int i = 0; i < plan.module_count(); ++i) {
+        const ModulePlacement& m = plan.modules[static_cast<std::size_t>(i)];
+        for (int r = 0; r < fr.rows; ++r)
+            pieces.push_back(Piece{m.y + r, m.x, i * fr.rows + r});
+    }
+    std::sort(pieces.begin(), pieces.end(),
+              [](const Piece& a, const Piece& b) {
+                  return a.y != b.y ? a.y < b.y : a.x < b.x;
+              });
+    // Feasible plans do not overlap, so within a row a piece either
+    // starts where the open run ends (touching: extend it) or further
+    // right (a gap: open a new run).
+    fr.row_slot.resize(pieces.size());
+    for (const Piece& piece : pieces) {
+        if (fr.runs.empty() || fr.runs.back().y != piece.y ||
+            fr.runs.back().x1 != piece.x) {
+            fr.runs.push_back(Run{piece.y, piece.x, piece.x, fr.cells});
+        }
+        Run& run = fr.runs.back();
+        run.x1 = piece.x + fr.cols;
+        fr.cells += fr.cols;
+        fr.row_slot[static_cast<std::size_t>(piece.index)] =
+            run.slot + piece.x - run.x0;
+    }
+    return fr;
+}
 
 /// Unchecked core of module_irradiance: preconditions (module index in
 /// range, footprint inside the field window, step in range) are
@@ -36,6 +105,7 @@ struct Partial {
     double ideal_energy_kwh = 0.0;
     double mismatch_loss_kwh = 0.0;
     double wiring_loss_kwh = 0.0;
+    long daylight_steps = 0;  ///< sampled daylight steps (telemetry)
     std::vector<double> string_energy_kwh;
     std::vector<double> string_wiring_loss_kwh;
 
@@ -49,6 +119,7 @@ Partial merge(Partial acc, const Partial& p) {
     acc.ideal_energy_kwh += p.ideal_energy_kwh;
     acc.mismatch_loss_kwh += p.mismatch_loss_kwh;
     acc.wiring_loss_kwh += p.wiring_loss_kwh;
+    acc.daylight_steps += p.daylight_steps;
     for (std::size_t j = 0; j < acc.string_energy_kwh.size(); ++j) {
         acc.string_energy_kwh[j] += p.string_energy_kwh[j];
         acc.string_wiring_loss_kwh[j] += p.string_wiring_loss_kwh[j];
@@ -172,9 +243,9 @@ EvaluationResult evaluate_floorplan(const Floorplan& plan,
               "evaluate_floorplan: step_stride must be >= 1");
     pv::check_topology(plan.topology, plan.module_count());
     // Boundary validation complete: feasibility puts every module
-    // footprint inside the area (== the field window) and the step loops
-    // below stay inside [0, steps) by construction, so the inner loops
-    // use the unchecked field accessors.
+    // footprint inside the area (== the field window), so every row run
+    // below is a valid row-kernel span, and the step loop stays inside
+    // [0, steps) by construction.
 
     const int n_modules = plan.module_count();
     const int n_strings = plan.topology.strings;
@@ -199,16 +270,23 @@ EvaluationResult evaluate_floorplan(const Floorplan& plan,
     const long stride = options.step_stride;
     const long n_samples = (n_steps + stride - 1) / stride;
 
+    const ModuleIrradiance mode = options.module_irradiance;
+    const FootprintRuns fr = footprint_runs(plan, mode);
+    const solar::detail::FieldView view = field.view();
+    const solar::detail::RowKernel row = solar::detail::row_kernel();
+    const double cell_count = plan.geometry.cell_count();
+
     // Shard the time axis over sampled steps; each shard accumulates its
-    // own Partial and the partials merge in shard order.  Scratch
-    // (sampled-step lists, the per-module irradiance series, the
+    // own Partial and the partials merge in shard order.  Within a
+    // shard the sweep is step-major: per sampled daylight step the row
+    // kernel fills the run buffer once, and each module folds its
+    // footprint rows out of it in the scalar (yy, xx) cell order — the
+    // additions / mins of anchor_irradiance_unchecked, so every g is
+    // bitwise the per-cell value.  Scratch (the run buffer, the
     // operating-point vector) comes from a pool so a shard reuses the
-    // previous shard's allocations instead of reallocating per shard.
+    // previous shard's allocations.
     struct ShardScratch {
-        std::vector<long> steps;
-        std::vector<double> dt_h;
-        std::vector<double> t_air;
-        std::vector<double> g;  ///< n_modules x steps.size(), module-major
+        std::vector<double> cells;  ///< run buffer, FootprintRuns::cells
         std::vector<pv::OperatingPoint> points;
     };
     ScratchPool<ShardScratch> scratch_pool;
@@ -218,47 +296,45 @@ EvaluationResult evaluate_floorplan(const Floorplan& plan,
         [&](long kb, long ke) {
             Partial p(static_cast<std::size_t>(n_strings));
             auto scratch = scratch_pool.acquire();
-            // Resolve the shard's sampled daylight steps once, then build
-            // each module's footprint-irradiance series through the
-            // batched kernels (bitwise-identical per step to the scalar
-            // per-cell walk this loop used to do).
-            scratch->steps.clear();
-            scratch->dt_h.clear();
-            scratch->t_air.clear();
+            scratch->cells.resize(static_cast<std::size_t>(fr.cells));
+            scratch->points.resize(static_cast<std::size_t>(n_modules));
+            double* const buf = scratch->cells.data();
+            std::vector<pv::OperatingPoint>& points = scratch->points;
             for (long k = kb; k < ke; ++k) {
                 const long s = k * stride;
                 if (!field.is_daylight(s)) continue;
-                scratch->steps.push_back(s);
+                ++p.daylight_steps;
                 // The sampled step stands in for the next `stride` real
                 // steps — except the last sample, which only represents
                 // the steps that actually remain in the horizon.
-                scratch->dt_h.push_back(
+                const double dt_h =
                     step_h *
-                    static_cast<double>(std::min(stride, n_steps - s)));
-                scratch->t_air.push_back(field.air_temperature(s));
-            }
-            const std::size_t nk = scratch->steps.size();
-            if (nk == 0) return p;
-            scratch->g.resize(static_cast<std::size_t>(n_modules) * nk);
-            for (int i = 0; i < n_modules; ++i) {
-                const ModulePlacement& m =
-                    plan.modules[static_cast<std::size_t>(i)];
-                anchor_irradiance_series(
-                    plan.geometry, m.x, m.y, field, scratch->steps,
-                    options.module_irradiance,
-                    scratch->g.data() + static_cast<std::size_t>(i) * nk);
-            }
-            std::vector<pv::OperatingPoint>& points = scratch->points;
-            points.resize(static_cast<std::size_t>(n_modules));
-            for (std::size_t k = 0; k < nk; ++k) {
-                const double dt_h = scratch->dt_h[k];
-                const double t_air = scratch->t_air[k];
+                    static_cast<double>(std::min(stride, n_steps - s));
+                const double t_air = field.air_temperature(s);
+                for (const Run& run : fr.runs)
+                    row(view, run.y, s, run.x0, run.x1, buf + run.slot);
                 for (int i = 0; i < n_modules; ++i) {
+                    const int* slots =
+                        fr.row_slot.data() +
+                        static_cast<std::size_t>(i) *
+                            static_cast<std::size_t>(fr.rows);
+                    double g;
+                    if (mode == ModuleIrradiance::AnchorCell) {
+                        g = buf[slots[0]];
+                    } else if (mode == ModuleIrradiance::WorstCell) {
+                        g = std::numeric_limits<double>::infinity();
+                        for (int r = 0; r < fr.rows; ++r)
+                            for (int c = 0; c < fr.cols; ++c)
+                                g = std::min(g, buf[slots[r] + c]);
+                    } else {
+                        double acc = 0.0;
+                        for (int r = 0; r < fr.rows; ++r)
+                            for (int c = 0; c < fr.cols; ++c)
+                                acc += buf[slots[r] + c];
+                        g = acc / cell_count;
+                    }
                     points[static_cast<std::size_t>(i)] =
-                        sample_operating_point(
-                            model,
-                            scratch->g[static_cast<std::size_t>(i) * nk + k],
-                            t_air, k_th);
+                        sample_operating_point(model, g, t_air, k_th);
                 }
                 const auto panel = pv::aggregate_panel(points, plan.topology);
 
@@ -292,6 +368,15 @@ EvaluationResult evaluate_floorplan(const Floorplan& plan,
             return p;
         },
         merge);
+
+    if (obs::enabled()) {
+        obs::MetricsRegistry& reg = obs::registry();
+        reg.counter("core.evaluate.cell_steps")
+            .add(static_cast<std::uint64_t>(fr.cells) *
+                 static_cast<std::uint64_t>(total.daylight_steps));
+        reg.counter("core.evaluate.row_runs")
+            .add(static_cast<std::uint64_t>(fr.runs.size()));
+    }
 
     result.energy_kwh = total.energy_kwh;
     result.ideal_energy_kwh = total.ideal_energy_kwh;

@@ -81,7 +81,8 @@ double module_irradiance(const Floorplan& plan, int module_index,
                          ModuleIrradiance mode);
 
 /// Footprint irradiance of a geometry-sized footprint anchored at (x, y):
-/// the exact per-module kernel of evaluate_floorplan, shared with the
+/// the per-module value evaluate_floorplan computes (it folds the same
+/// cells in the same order out of its row-run buffer), shared with the
 /// IncrementalEvaluator so both compute bitwise-identical values.
 /// Preconditions (footprint inside the field window, step in range) are
 /// debug-asserted only — validate at the call-site boundary.
@@ -91,10 +92,12 @@ double anchor_irradiance_unchecked(const PanelGeometry& geometry, int x, int y,
 
 /// Batched footprint irradiance: out[k] = anchor_irradiance_unchecked of
 /// the footprint anchored at (x, y) at steps[k] — bitwise identical to
-/// the per-step scalar loop (it rides the field's batched series kernel
-/// and folds footprint cells in the scalar cell order).  This is the
-/// per-anchor hot path of the IncrementalEvaluator's series build, the
-/// evaluate_floorplan time shards, and ideal_anchor_energies.
+/// the per-step scalar loop (it rides the field's series kernel, one
+/// series per footprint cell, and folds footprint cells in the scalar
+/// cell order).  This is the per-anchor path of the
+/// IncrementalEvaluator's series build and of ideal_anchor_energies
+/// (evaluate_floorplan sweeps step-major over the plan's footprint row
+/// runs with the row kernel instead).
 /// Preconditions as anchor_irradiance_unchecked; the step span is
 /// validated here, once, not per footprint cell.
 void anchor_irradiance_series(const PanelGeometry& geometry, int x, int y,

@@ -147,11 +147,12 @@ IrradianceField::IrradianceField(geo::HorizonMap horizon,
 
     // Daylight-packed twins: compact every per-step quantity the series
     // kernels touch over daylight steps only, in step order.  A stride-1
-    // daylight sweep (the evaluator shards) then maps to a contiguous
-    // packed run and runs unit-stride with no gathers — see
-    // cell_irradiance_series_unchecked.  Pure bitwise copies; ~50% of
-    // steps are daylight, so this costs about half a plane set of extra
-    // memory (accounted in serve::ResidentState's budget).
+    // daylight sweep (the incremental evaluator's per-anchor series)
+    // then maps to a contiguous packed run and runs unit-stride with no
+    // gathers — see cell_irradiance_series_unchecked.  Pure bitwise
+    // copies; ~50% of steps are daylight, so this costs about half a
+    // plane set of extra memory (accounted in serve::ResidentState's
+    // budget).
     step_to_packed_.assign(n, -1);
     long nd = 0;
     for (std::size_t si = 0; si < n; ++si)
@@ -281,11 +282,11 @@ void IrradianceField::cell_irradiance_series_unchecked(
     if (steps.empty()) return;
     // Packed fast path: when the step span is a contiguous daylight run
     // (every daylight step between steps.front() and steps.back(), in
-    // order — exactly what the stride-1 evaluator shards produce),
-    // sweep the packed planes unit-stride instead of gathering.  The
-    // O(n) detection scan is a table walk, far cheaper than the gathers
-    // it replaces; any mismatch (night step first, strides, scrambled
-    // order) falls back to the gather kernel.
+    // order — what the incremental evaluator's stride-1 series builds
+    // produce), sweep the packed planes unit-stride instead of
+    // gathering.  The O(n) detection scan is a table walk, far cheaper
+    // than the gathers it replaces; any mismatch (night step first,
+    // strides, scrambled order) falls back to the gather kernel.
     const long p0 = step_to_packed_[static_cast<std::size_t>(steps[0])];
     if (p0 >= 0) {
         bool contiguous = true;
@@ -302,16 +303,10 @@ void IrradianceField::cell_irradiance_series_unchecked(
             return;
         }
     }
-    const detail::FieldView v = view();
-    const SimdLevel lvl = simd_level();
-    if (lvl == SimdLevel::Avx512 && detail::avx512_kernels_compiled())
-        detail::cell_series_avx512(v, x, y, steps.data(), steps.size(),
-                                   out);
-    else if (lvl != SimdLevel::Scalar && detail::avx2_kernels_compiled())
-        detail::cell_series_avx2(v, x, y, steps.data(), steps.size(), out);
-    else
-        detail::cell_series_scalar(v, x, y, steps.data(), steps.size(),
-                                   out);
+    // Scalar at every level: gathered AVX2 / AVX-512 twins measured only
+    // 1.03-1.09x over this loop, below the 1.5x a SIMD twin must pay.
+    detail::cell_series_scalar(view(), x, y, steps.data(), steps.size(),
+                               out);
 }
 
 void IrradianceField::cell_irradiance_packed(int x, int y, long p0, long p1,

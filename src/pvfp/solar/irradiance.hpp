@@ -23,13 +23,16 @@
 /// of cells) and cell_irradiance_series (fixed cell, span of steps) —
 /// run as branch-free SIMD-friendly loops.  Both are *bitwise identical*
 /// to the scalar cell_irradiance_unchecked per cell, at any SIMD level
-/// (see util/simd.hpp for the dispatch contract).
+/// (see util/simd.hpp for the dispatch contract).  The row kernel has
+/// AVX2 / AVX-512 tiers and carries the hot sweeps (suitability and
+/// floorplan evaluation run step-major over row runs); the gathered
+/// series kernel is scalar only.
 ///
 /// The per-step planes additionally carry *daylight-packed* twins: the
 /// same quantities compacted over daylight steps only, in step order.
-/// cell_irradiance_series detects contiguous daylight runs (the default
-/// stride-1 sweeps of the evaluator) and sweeps the packed planes
-/// unit-stride — no gathers, no night lanes — via
+/// cell_irradiance_series detects contiguous daylight runs (the
+/// stride-1 per-anchor series of the IncrementalEvaluator) and sweeps
+/// the packed planes unit-stride — no gathers, no night lanes — via
 /// cell_irradiance_packed; packed_to_step()/packed_index() map between
 /// the two step domains.
 
@@ -198,23 +201,26 @@ public:
     /// cell_irradiance_unchecked per cell, at any SIMD level; validates
     /// the row, span, and step once (throws InvalidArgument).  This is
     /// the fixed-step path of the Fig. 6 maps and the footprint modes of
-    /// anchor_irradiance_unchecked; compute_suitability calls the same
-    /// dispatched kernel (detail::row_kernel) directly per row run.
+    /// anchor_irradiance_unchecked; compute_suitability and
+    /// evaluate_floorplan call the same dispatched kernel
+    /// (detail::row_kernel) directly per row run.
     void cell_irradiance_row(int y, long s, int x0, int x1,
                              double* out) const;
 
     /// Batched series kernel: out[k] = cell_irradiance of cell (x, y) at
     /// steps[k].  Bitwise identical to the scalar loop at any SIMD
     /// level; validates the cell and every step once (throws
-    /// InvalidArgument).  This is the fixed-cell hot path of the
-    /// IncrementalEvaluator's per-anchor series build.
+    /// InvalidArgument).  This is the fixed-cell path of the
+    /// IncrementalEvaluator's per-anchor series build.  Gathered steps
+    /// run the scalar kernel at every SIMD level; contiguous daylight
+    /// runs take the packed kernel and its SIMD tiers.
     void cell_irradiance_series(int x, int y, std::span<const long> steps,
                                 double* out) const;
 
     /// Unchecked fast path of cell_irradiance_series for callers that
     /// validated the cell and step span once at their own boundary
-    /// (the evaluator's anchor_irradiance_series sweeping a footprint,
-    /// its only caller).
+    /// (anchor_irradiance_series sweeping a footprint for the
+    /// IncrementalEvaluator and ideal_anchor_energies).
     /// Preconditions (debug-asserted): cell inside the window, every
     /// steps[k] in [0, steps()).
     void cell_irradiance_series_unchecked(int x, int y,
@@ -227,7 +233,7 @@ public:
     /// identical to cell_irradiance_series on the corresponding original
     /// steps at any SIMD level.  cell_irradiance_series_unchecked calls
     /// this automatically when its step span is a contiguous daylight
-    /// run (the evaluator's stride-1 sweeps), so callers only need it
+    /// run (stride-1 per-anchor series), so callers only need it
     /// when they already think in packed indices.  Validates the cell
     /// and packed range (throws InvalidArgument).
     void cell_irradiance_packed(int x, int y, long p0, long p1,

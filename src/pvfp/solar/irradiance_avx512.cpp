@@ -6,9 +6,8 @@
 ///
 /// Two wins over the AVX2 tier: 8 double lanes per iteration instead
 /// of 4, and masked loads/stores on the final partial vector, so there
-/// is *no scalar tail loop* — short spans (the 1-31-step evaluator
-/// shard remainders, narrow footprint rows) run entirely in vector
-/// code.
+/// is *no scalar tail loop* — short spans (narrow footprint row runs,
+/// short packed daylight runs) run entirely in vector code.
 ///
 /// Bitwise contract, as in irradiance_avx2.cpp: elementwise mul/add/sub
 /// only — never FMA — in exactly the scalar kernels' association.  The
@@ -140,97 +139,9 @@ PVFP_AVX512 void cell_row_avx512(const FieldView& f, int y, long s, int x0,
     }
 }
 
-PVFP_AVX512 void cell_series_avx512(const FieldView& f, int x, int y,
-                                    const long* steps, std::size_t n,
-                                    double* out) {
-    const long ci = static_cast<long>(y) * f.width + x;
-    const float* angles_cell = f.angles + ci;
-    const __m512d svf_v = _mm512_set1_pd(f.svf[ci]);
-    const __m512d zero = _mm512_setzero_pd();
-    const __m256 zero_ps = _mm256_setzero_ps();
-    const __m256i zero_epi32 = _mm256_setzero_si256();
-    const __m512d zero_pd = _mm512_setzero_pd();
-
-    const bool uniform = f.norm_e == nullptr;
-    __m256 ne_v{}, nn_v{}, nu_v{};
-    __m512d pe_v{}, pn_v{}, pu_v{};
-    if (uniform) {
-        pe_v = _mm512_set1_pd(f.plane_e);
-        pn_v = _mm512_set1_pd(f.plane_n);
-        pu_v = _mm512_set1_pd(f.plane_u);
-    } else {
-        ne_v = _mm256_set1_ps(f.norm_e[ci]);
-        nn_v = _mm256_set1_ps(f.norm_n[ci]);
-        nu_v = _mm256_set1_ps(f.norm_u[ci]);
-    }
-
-    for (std::size_t k = 0; k < n; k += 8) {
-        const __mmask8 m = tail_mask(n - k);
-        // Masked index load: masked-off lanes hold index 0, but every
-        // gather below is masked with m too, so those lanes are never
-        // dereferenced.
-        const __m512i idx = _mm512_maskz_loadu_epi64(m, steps + k);
-        const __m512d refl = _mm512_cvtps_pd(
-            _mm512_mask_i64gather_ps(zero_ps, m, idx, f.reflected, 4));
-        const __m512d sky = _mm512_cvtps_pd(
-            _mm512_mask_i64gather_ps(zero_ps, m, idx, f.sky_diffuse, 4));
-        const __m512d base =
-            _mm512_add_pd(refl, _mm512_mul_pd(svf_v, sky));
-
-        const __m512d beam = _mm512_cvtps_pd(
-            _mm512_mask_i64gather_ps(zero_ps, m, idx, f.beam_eq, 4));
-        const __m512d elev = _mm512_cvtps_pd(
-            _mm512_mask_i64gather_ps(zero_ps, m, idx, f.sun_elevation, 4));
-        const __m512d frac =
-            _mm512_mask_i64gather_pd(zero_pd, m, idx, f.hor_frac, 8);
-        const __m256i off0 = _mm512_mask_i64gather_epi32(
-            zero_epi32, m, idx, reinterpret_cast<const int*>(f.hor_off0),
-            4);
-        const __m256i off1 = _mm512_mask_i64gather_epi32(
-            zero_epi32, m, idx, reinterpret_cast<const int*>(f.hor_off1),
-            4);
-        const __m512d a0 = _mm512_cvtps_pd(
-            _mm256_mmask_i32gather_ps(zero_ps, m, off0, angles_cell, 4));
-        const __m512d a1 = _mm512_cvtps_pd(
-            _mm256_mmask_i32gather_ps(zero_ps, m, off1, angles_cell, 4));
-        const __m512d h = _mm512_add_pd(
-            a0, _mm512_mul_pd(_mm512_sub_pd(a1, a0), frac));
-
-        const __m256 se_ps =
-            _mm512_mask_i64gather_ps(zero_ps, m, idx, f.sun_e, 4);
-        const __m256 sn_ps =
-            _mm512_mask_i64gather_ps(zero_ps, m, idx, f.sun_n, 4);
-        const __m256 su_ps =
-            _mm512_mask_i64gather_ps(zero_ps, m, idx, f.sun_u, 4);
-        __m512d cosi;
-        if (uniform) {
-            cosi = _mm512_add_pd(
-                _mm512_add_pd(
-                    _mm512_mul_pd(pe_v, _mm512_cvtps_pd(se_ps)),
-                    _mm512_mul_pd(pn_v, _mm512_cvtps_pd(sn_ps))),
-                _mm512_mul_pd(pu_v, _mm512_cvtps_pd(su_ps)));
-        } else {
-            const __m256 cosi_ps = _mm256_add_ps(
-                _mm256_add_ps(_mm256_mul_ps(ne_v, se_ps),
-                              _mm256_mul_ps(nn_v, sn_ps)),
-                _mm256_mul_ps(nu_v, su_ps));
-            cosi = _mm512_cvtps_pd(cosi_ps);
-        }
-
-        const __mmask8 lit = static_cast<__mmask8>(
-            _mm512_cmp_pd_mask(beam, zero, _CMP_GT_OQ) &
-            _mm512_cmp_pd_mask(elev, zero, _CMP_GT_OQ) &
-            _mm512_cmp_pd_mask(elev, h, _CMP_GE_OQ) &
-            _mm512_cmp_pd_mask(cosi, zero, _CMP_GT_OQ));
-        const __m512d add = _mm512_maskz_mul_pd(lit, beam, cosi);
-        _mm512_mask_storeu_pd(out + k, m, _mm512_add_pd(base, add));
-    }
-}
-
 PVFP_AVX512 void cell_packed_avx512(const FieldView& f, int x, int y,
                                     long p0, long p1, double* out) {
-    // Unit-stride twin of cell_series_avx512 over the daylight-packed
-    // planes: contiguous masked loads everywhere except the per-cell
+    // Unit-stride sweep over the daylight-packed planes: contiguous masked loads everywhere except the per-cell
     // horizon angle lookups, which stay (masked) gathers by sector
     // offset.
     const long ci = static_cast<long>(y) * f.width + x;
@@ -367,11 +278,6 @@ PVFP_AVX512 void bin_series_avx512(const double* g, std::size_t n,
 void cell_row_avx512(const FieldView& f, int y, long s, int x0, int x1,
                      double* out) {
     cell_row_scalar(f, y, s, x0, x1, out);
-}
-
-void cell_series_avx512(const FieldView& f, int x, int y, const long* steps,
-                        std::size_t n, double* out) {
-    cell_series_scalar(f, x, y, steps, n, out);
 }
 
 void cell_packed_avx512(const FieldView& f, int x, int y, long p0, long p1,

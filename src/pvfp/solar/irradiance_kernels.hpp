@@ -2,12 +2,16 @@
 /// \file irradiance_kernels.hpp
 /// Internal batched irradiance kernels over a FieldView (SoA planes).
 ///
-/// Three shapes, up to three implementations each:
-///  - row kernel:    fixed step, contiguous span of cells in one row;
-///  - series kernel: fixed cell, arbitrary span of steps (gathers);
+/// Three shapes:
+///  - row kernel:    fixed step, contiguous span of cells in one row
+///    (scalar, AVX2, AVX-512);
+///  - series kernel: fixed cell, arbitrary span of steps (gathers;
+///    scalar only — SIMD twins measured 1.03-1.09x, below the 1.5x a
+///    twin must pay);
 ///  - packed kernel: fixed cell, contiguous run of *daylight-packed*
 ///    steps (unit-stride loads over the packed planes — the gather-free
-///    fast path of cell_irradiance_series for stride-1 daylight sweeps).
+///    fast path of cell_irradiance_series for stride-1 daylight sweeps;
+///    scalar, AVX2, AVX-512).
 ///
 /// The scalar implementations are branch-free inner loops (horizon lerp
 /// + compare instead of is_shaded branching, masked beam term) written
@@ -58,8 +62,6 @@ bool avx512_kernels_compiled();
 /// builds where avx2_kernels_compiled() is false.
 void cell_row_avx2(const FieldView& f, int y, long s, int x0, int x1,
                    double* out);
-void cell_series_avx2(const FieldView& f, int x, int y, const long* steps,
-                      std::size_t n, double* out);
 void cell_packed_avx2(const FieldView& f, int x, int y, long p0, long p1,
                       double* out);
 
@@ -68,8 +70,6 @@ void cell_packed_avx2(const FieldView& f, int x, int y, long p0, long p1,
 /// false.
 void cell_row_avx512(const FieldView& f, int y, long s, int x0, int x1,
                      double* out);
-void cell_series_avx512(const FieldView& f, int x, int y, const long* steps,
-                        std::size_t n, double* out);
 void cell_packed_avx512(const FieldView& f, int x, int y, long p0, long p1,
                         double* out);
 
@@ -79,8 +79,8 @@ using RowKernel = void (*)(const FieldView& f, int y, long s, int x0, int x1,
 
 /// The row kernel tier for the current simd_level() — the dispatch
 /// IrradianceField::cell_irradiance_row runs.  Sweeps that call the row
-/// kernel many times over one view (compute_suitability) resolve it
-/// once instead of per call.
+/// kernel many times over one view (compute_suitability,
+/// evaluate_floorplan) resolve it once instead of per call.
 RowKernel row_kernel();
 
 /// One histogram axis for the fused suitability binning: the fixed

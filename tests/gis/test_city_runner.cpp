@@ -229,6 +229,10 @@ TEST(CityRunner, TelemetryOnOffAndThreadCountsGiveSameBytes) {
     EXPECT_NE(counters1.find("core.suitability.dark_steps_shared="),
               std::string::npos)
         << counters1;
+    EXPECT_NE(counters1.find("core.evaluate.cell_steps="), std::string::npos)
+        << counters1;
+    EXPECT_NE(counters1.find("core.evaluate.row_runs="), std::string::npos)
+        << counters1;
     EXPECT_EQ(shared1, shared8);
     EXPECT_NE(shared1.find("gis.horizon_cache.hits="), std::string::npos)
         << shared1;

@@ -496,8 +496,14 @@ TEST(SimdDispatch, ForcedLevelsRoundTrip) {
     } else {
         EXPECT_THROW(set_simd_level(SimdLevel::Avx512), InvalidArgument);
     }
+    // Auto honours PVFP_SIMD by contract (EnvToggleIsStrict covers
+    // that), so resolve with the variable unset and restore it after.
+    const char* old = std::getenv("PVFP_SIMD");
+    const std::string saved = old != nullptr ? old : "";
+    unsetenv("PVFP_SIMD");
     set_simd_level_auto();
     const SimdLevel resolved = simd_level();
+    if (old != nullptr) setenv("PVFP_SIMD", saved.c_str(), 1);
     // Auto resolves to the widest runnable tier.
     if (cpu_supports_avx512())
         EXPECT_EQ(resolved, SimdLevel::Avx512);
