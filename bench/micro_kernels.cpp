@@ -150,26 +150,10 @@ const geo::Raster& horizon_bench_dsm() {
     return dsm;
 }
 
-/// Baseline: the retained per-cell horizon oracle on a roof-scale
-/// window — the pre-batching shadow-engine cost (single-threaded so the
-/// ratio against the batched kernels is a pure kernel speedup).
-void BM_HorizonMapReference(benchmark::State& state) {
-    const geo::Raster& dsm = horizon_bench_dsm();
-    geo::HorizonOptions opt;
-    opt.azimuth_sectors = 72;
-    set_thread_count(1);
-    for (auto _ : state) {
-        const geo::HorizonMap map =
-            geo::horizon_map_reference(dsm, 480, 480, 40, 30, opt);
-        benchmark::DoNotOptimize(map.angles_data());
-    }
-    set_thread_count(0);
-    state.SetItemsProcessed(state.iterations() * 40 * 30 * 72);
-}
-BENCHMARK(BM_HorizonMapReference)->Unit(benchmark::kMillisecond);
-
-/// The batched row-march kernels on the same window at a dispatch level
-/// (0 scalar, 1 AVX2, 2 AVX-512) — the horizon-engine headline.
+/// The batched row-march kernels on a roof-scale window at a dispatch
+/// level (0 scalar, 1 AVX2, 2 AVX-512) — the horizon-engine headline,
+/// single-threaded so the AVX2/AVX-512 legs over /0 are pure kernel
+/// speedups.
 void BM_HorizonMapBatched(benchmark::State& state) {
     if (!apply_simd_arg(state)) return;
     const geo::Raster& dsm = horizon_bench_dsm();

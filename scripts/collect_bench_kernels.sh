@@ -81,12 +81,10 @@ for base, kernel, label in [
      "shared-sky prepare batched-vs-reference (avx512)"),
     ("BM_FootprintMaskPerCell/10000", "BM_FootprintMaskScanline/10000",
      "footprint mask scanline-vs-per-cell (10^4 vertices)"),
-    ("BM_HorizonMapReference", "BM_HorizonMapBatched/0",
-     "horizon build (scalar batch) vs per-cell oracle"),
-    ("BM_HorizonMapReference", "BM_HorizonMapBatched/1",
-     "horizon build (avx2) vs per-cell oracle"),
-    ("BM_HorizonMapReference", "BM_HorizonMapBatched/2",
-     "horizon build (avx512) vs per-cell oracle"),
+    ("BM_HorizonMapBatched/0", "BM_HorizonMapBatched/1",
+     "horizon build (avx2) vs scalar batch"),
+    ("BM_HorizonMapBatched/0", "BM_HorizonMapBatched/2",
+     "horizon build (avx512) vs scalar batch"),
 ]:
     s = speedup(base, kernel)
     if s is not None:

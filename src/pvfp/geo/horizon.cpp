@@ -2,9 +2,11 @@
 
 #include <cassert>
 #include <cmath>
+#include <cstdint>
 #include <utility>
 
 #include "pvfp/geo/horizon_kernels.hpp"
+#include "pvfp/obs/metrics.hpp"
 #include "pvfp/util/error.hpp"
 #include "pvfp/util/math.hpp"
 #include "pvfp/util/parallel.hpp"
@@ -88,15 +90,26 @@ HorizonMap::HorizonMap(const Raster& dsm, int x0, int y0, int win_w,
     const HorizonSchedule sched =
         make_horizon_schedule(options, dsm.cell_size());
     const std::size_t ncells = static_cast<std::size_t>(cell_count());
+    std::vector<std::uint64_t> row_atan2(static_cast<std::size_t>(win_h));
     parallel_for(0, win_h, 1, [&](long row_begin, long row_end) {
         for (long wy = row_begin; wy < row_end; ++wy) {
             const std::size_t ri = static_cast<std::size_t>(wy) * win_w;
-            horizon_row_batched(dsm, x0, y0 + static_cast<int>(wy), win_w,
-                                sched, options.observer_offset,
-                                angles_.data() + ri, ncells,
-                                svf_.data() + ri);
+            row_atan2[static_cast<std::size_t>(wy)] = horizon_row_batched(
+                dsm, x0, y0 + static_cast<int>(wy), win_w, sched,
+                options.observer_offset, angles_.data() + ri, ncells,
+                svf_.data() + ri);
         }
     });
+
+    if (obs::enabled()) {
+        std::uint64_t atan2_calls = 0;
+        for (const std::uint64_t c : row_atan2) atan2_calls += c;
+        obs::MetricsRegistry& reg = obs::registry();
+        reg.counter("geo.horizon.cell_sectors")
+            .add(static_cast<std::uint64_t>(ncells) *
+                 static_cast<std::uint64_t>(sectors_));
+        reg.counter("geo.horizon.atan2_calls").add(atan2_calls);
+    }
 }
 
 HorizonMap HorizonMap::from_planes(int x0, int y0, int win_w, int win_h,
@@ -179,44 +192,6 @@ bool HorizonMap::is_shaded_unchecked(int wx, int wy, double azimuth_rad,
 
 double HorizonMap::sky_view_factor_unchecked(int wx, int wy) const {
     return svf_[cell_index(wx, wy)];
-}
-
-HorizonMap horizon_map_reference(const Raster& dsm, int x0, int y0,
-                                 int win_w, int win_h,
-                                 const HorizonOptions& options) {
-    validate_build(dsm, x0, y0, win_w, win_h, options);
-    const int sectors = options.azimuth_sectors;
-    const double step = options.step_factor * dsm.cell_size();
-    const std::size_t ncells = static_cast<std::size_t>(win_w) * win_h;
-    std::vector<float> angles(ncells * static_cast<std::size_t>(sectors));
-    std::vector<float> svf(ncells);
-
-    // The original per-cell build loop, retained verbatim as the
-    // differential oracle for the batched kernels.
-    parallel_for(0, win_h, 1, [&](long row_begin, long row_end) {
-        for (long wy = row_begin; wy < row_end; ++wy) {
-            for (int wx = 0; wx < win_w; ++wx) {
-                const std::size_t ci =
-                    static_cast<std::size_t>(wy) * win_w + wx;
-                double svf_acc = 0.0;
-                for (int s = 0; s < sectors; ++s) {
-                    const double az = kTwoPi * s / sectors;
-                    const double ang = march(
-                        dsm, x0 + wx, y0 + static_cast<int>(wy), az,
-                        options.max_distance, step, options.step_growth,
-                        options.max_step_factor * dsm.cell_size(),
-                        options.observer_offset);
-                    angles[static_cast<std::size_t>(s) * ncells + ci] =
-                        static_cast<float>(ang);
-                    const double c = std::cos(ang);
-                    svf_acc += c * c;
-                }
-                svf[ci] = static_cast<float>(svf_acc / sectors);
-            }
-        }
-    });
-    return HorizonMap::from_planes(x0, y0, win_w, win_h, sectors,
-                                   std::move(angles), std::move(svf));
 }
 
 double brute_force_horizon(const Raster& dsm, int x, int y,

@@ -49,7 +49,8 @@ public:
     /// win_w x win_h (in cells) of \p dsm.  The whole raster participates
     /// as potential obstruction.  The window must lie inside the raster.
     /// Runs the batched row-march kernels (geo/horizon_kernels.hpp),
-    /// bitwise-identical to the per-cell oracle horizon_map_reference().
+    /// bitwise-identical to the per-cell differential oracle
+    /// (tests/oracles/horizon_reference.hpp).
     HorizonMap(const Raster& dsm, int x0, int y0, int win_w, int win_h,
                const HorizonOptions& options = {});
 
@@ -57,7 +58,7 @@ public:
     /// (sectors * win_w * win_h floats, see angles_data()), \p svf is
     /// row-major (win_w * win_h floats).  Used by the shared horizon
     /// cache (gis/horizon_cache) to hand out window views into cached
-    /// macro-tile planes, and by the reference builder.
+    /// macro-tile planes, and by the per-cell differential oracle.
     static HorizonMap from_planes(int x0, int y0, int win_w, int win_h,
                                   int sectors, std::vector<float> angles,
                                   std::vector<float> svf);
@@ -133,14 +134,6 @@ private:
 using HorizonProvider = std::function<std::optional<HorizonMap>(
     const Raster& dsm, int x0, int y0, int w, int h,
     const HorizonOptions& options)>;
-
-/// Retained per-cell reference builder: marches every (cell, sector) with
-/// the original scalar loop.  The differential oracle the batched kernels
-/// are pinned against (tests/geo/test_horizon_kernels) — bitwise equal to
-/// the HorizonMap ctor at every SIMD level.
-HorizonMap horizon_map_reference(const Raster& dsm, int x0, int y0,
-                                 int win_w, int win_h,
-                                 const HorizonOptions& options = {});
 
 /// Reference implementation: march the DSM directly for a single cell and
 /// azimuth with *uniform* steps; used by tests to validate HorizonMap and

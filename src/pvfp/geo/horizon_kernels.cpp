@@ -57,11 +57,13 @@ void march_row_scalar(const HorizonRowArgs& a) {
     // the first exit is permanent — the per-cell marcher's `break`).
     const int wm1 = a.gw - 1;
     const double wm1_d = static_cast<double>(wm1);
+    std::uint64_t calls = 0;
     for (int i = 0; i < a.n; ++i) {
         const double lx0 = a.lx0[i];
         const double h0 = a.h0[i];
-        double best = 0.0;
+        // Pass 1: the march, recording the running-max candidates.
         double rmax = 0.0;
+        int nc = 0;
         for (int k = 0; k < a.ksteps; ++k) {
             const double lx = lx0 + a.xoff[k];
             if (lx < 0.0 || lx >= a.width_m) break;
@@ -79,22 +81,35 @@ void march_row_scalar(const HorizonRowArgs& a) {
             if (d > 0.0) {
                 const double r = d / a.t[k];
                 if (r >= rmax * (1.0 - 1e-9)) {
-                    const double ang = std::atan2(d, a.t[k]);
-                    if (ang > best) best = ang;
+                    a.dbuf[nc] = d;
+                    a.rbuf[nc] = r;
+                    a.kbuf[nc] = k;
+                    ++nc;
                 }
                 if (r > rmax) rmax = r;
             }
         }
+        // Pass 2: atan2 only on the candidates in the final band.
+        const double thr = rmax * (1.0 - 1e-9);
+        double best = 0.0;
+        for (int j = 0; j < nc; ++j) {
+            if (a.rbuf[j] < thr) continue;
+            const double ang = std::atan2(a.dbuf[j], a.t[a.kbuf[j]]);
+            ++calls;
+            if (ang > best) best = ang;
+        }
         a.best[i] = best;
     }
+    *a.atan2_calls += calls;
 }
 
 }  // namespace detail
 
-void horizon_row_batched(const Raster& dsm, int x0, int y, int win_w,
-                         const HorizonSchedule& sched, double observer_offset,
-                         float* angles_row, std::size_t plane_stride,
-                         float* svf_row) {
+std::uint64_t horizon_row_batched(const Raster& dsm, int x0, int y,
+                                  int win_w,
+                                  const HorizonSchedule& sched,
+                                  double observer_offset, float* angles_row,
+                                  std::size_t plane_stride, float* svf_row) {
     const int gw = dsm.width();
     const int gh = dsm.height();
     const double cs = dsm.cell_size();
@@ -117,6 +132,11 @@ void horizon_row_batched(const Raster& dsm, int x0, int y, int win_w,
     std::vector<std::size_t> row0(sched.steps);
     std::vector<std::size_t> row1(sched.steps);
     std::vector<double> ty(sched.steps);
+    // Pass-1 scratch of the kernels: one lane group's candidate steps.
+    std::vector<double> dbuf(static_cast<std::size_t>(sched.steps) * 8);
+    std::vector<double> rbuf(static_cast<std::size_t>(sched.steps) * 8);
+    std::vector<int> kbuf(static_cast<std::size_t>(sched.steps));
+    std::uint64_t atan2_calls = 0;
 
     void (*kernel)(const detail::HorizonRowArgs&) = &detail::march_row_scalar;
     switch (simd_level()) {
@@ -162,6 +182,10 @@ void horizon_row_batched(const Raster& dsm, int x0, int y, int win_w,
         args.ty = ty.data();
         args.ksteps = ksteps;
         args.best = best.data();
+        args.dbuf = dbuf.data();
+        args.rbuf = rbuf.data();
+        args.kbuf = kbuf.data();
+        args.atan2_calls = &atan2_calls;
         kernel(args);
 
         float* plane = angles_row + static_cast<std::size_t>(s) * plane_stride;
@@ -170,13 +194,15 @@ void horizon_row_batched(const Raster& dsm, int x0, int y, int win_w,
             plane[i] = static_cast<float>(ang);
             // Scalar libm cos on the double angle, accumulated in sector
             // order: the exact SVF arithmetic of the per-cell builder.
-            const double c = std::cos(ang);
+            // cos(0.0) is exactly 1.0, so open sectors skip the call.
+            const double c = ang == 0.0 ? 1.0 : std::cos(ang);
             svf_acc[i] += c * c;
         }
     }
 
     for (int i = 0; i < win_w; ++i)
         svf_row[i] = static_cast<float>(svf_acc[i] / sched.sectors);
+    return atan2_calls;
 }
 
 }  // namespace pvfp::geo

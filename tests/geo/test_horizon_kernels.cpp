@@ -3,7 +3,8 @@
 /// macro-tile horizon cache.
 ///
 /// The batched row-march kernels (scalar / AVX2 / AVX-512) promise
-/// *bitwise* identity with the retained per-cell reference builder —
+/// *bitwise* identity with the per-cell reference builder
+/// (tests/oracles/horizon_reference) —
 /// the same contract as the irradiance kernel tiers: every SIMD level
 /// performs elementwise-identical IEEE arithmetic (mul+add, no FMA), so
 /// a HorizonMap is one deterministic artifact no matter which tier the
@@ -15,6 +16,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <limits>
@@ -25,12 +27,14 @@
 #include <utility>
 #include <vector>
 
+#include "oracles/horizon_reference.hpp"
 #include "pvfp/geo/asc_grid.hpp"
 #include "pvfp/geo/horizon.hpp"
 #include "pvfp/geo/horizon_kernels.hpp"
 #include "pvfp/geo/scene.hpp"
 #include "pvfp/gis/horizon_cache.hpp"
 #include "pvfp/gis/tile_index.hpp"
+#include "pvfp/obs/metrics.hpp"
 #include "pvfp/util/error.hpp"
 #include "pvfp/util/rng.hpp"
 #include "pvfp/util/simd.hpp"
@@ -39,6 +43,7 @@ namespace pvfp::geo {
 namespace {
 
 namespace fs = std::filesystem;
+using oracles::horizon_map_reference;
 
 /// Restore the ambient SIMD level when a test scope ends.
 struct SimdLevelGuard {
@@ -102,8 +107,23 @@ void expect_bitwise_equal(const HorizonMap& a, const HorizonMap& b,
         << what << ": svf planes differ";
 }
 
-TEST(HorizonKernels, BatchedMatchesReferenceBitwiseAtEveryLevel) {
+/// Build the window at every runnable level and compare each map with
+/// the oracle bit for bit.
+void expect_oracle_at_every_level(const Raster& dsm, int x0, int y0, int w,
+                                  int h, const HorizonOptions& opt,
+                                  const std::string& what) {
     SimdLevelGuard guard;
+    const HorizonMap ref = horizon_map_reference(dsm, x0, y0, w, h, opt);
+    for (const SimdLevel level : runnable_levels()) {
+        set_simd_level(level);
+        const HorizonMap batched(dsm, x0, y0, w, h, opt);
+        expect_bitwise_equal(
+            batched, ref,
+            (what + " level " + simd_level_name(level)).c_str());
+    }
+}
+
+TEST(HorizonKernels, BatchedMatchesReferenceBitwiseAtEveryLevel) {
     const std::vector<Raster> dsms = test_dsms();
     for (const int sectors : {7, 24}) {
         for (std::size_t d = 0; d < dsms.size(); ++d) {
@@ -112,22 +132,206 @@ TEST(HorizonKernels, BatchedMatchesReferenceBitwiseAtEveryLevel) {
             opt.azimuth_sectors = sectors;
             opt.max_distance = 10.0 + 3.0 * static_cast<double>(d);
             // An off-center window exercises the x/y offset paths.
-            const int x0 = 2, y0 = 1;
-            const int w = dsm.width() - 4, h = dsm.height() - 3;
-            const HorizonMap ref =
-                horizon_map_reference(dsm, x0, y0, w, h, opt);
-            for (const SimdLevel level : runnable_levels()) {
-                set_simd_level(level);
-                const HorizonMap batched(dsm, x0, y0, w, h, opt);
-                expect_bitwise_equal(
-                    batched, ref,
-                    (std::string("dsm ") + std::to_string(d) + " sectors " +
-                     std::to_string(sectors) + " level " +
-                     simd_level_name(level))
-                        .c_str());
-            }
+            expect_oracle_at_every_level(
+                dsm, 2, 1, dsm.width() - 4, dsm.height() - 3, opt,
+                "dsm " + std::to_string(d) + " sectors " +
+                    std::to_string(sectors));
         }
     }
+}
+
+/// The kernels' own atan2 count for the window at the current level,
+/// summed over its rows (independent of telemetry).
+std::uint64_t batched_atan2_calls(const Raster& dsm, int x0, int y0, int w,
+                                  int h, const HorizonOptions& opt) {
+    const HorizonSchedule sched =
+        make_horizon_schedule(opt, dsm.cell_size());
+    std::vector<float> angles(static_cast<std::size_t>(w) *
+                              static_cast<std::size_t>(opt.azimuth_sectors));
+    std::vector<float> svf(static_cast<std::size_t>(w));
+    std::uint64_t calls = 0;
+    for (int y = y0; y < y0 + h; ++y)
+        calls += horizon_row_batched(dsm, x0, y, w, sched,
+                                     opt.observer_offset, angles.data(),
+                                     static_cast<std::size_t>(w), svf.data());
+    return calls;
+}
+
+TEST(HorizonKernels, ConvexRampSetsARatioRecordAtEveryStep) {
+    // h = c * x^2 (bilinear-interpolated, still convex): along any ray
+    // with an eastward component the slope ratio (h - h0) / t grows at
+    // every step, so a filter against the running ratio max evaluates
+    // atan2 at every uphill step.  The final-band filter keeps one
+    // candidate per ray.
+    Raster ramp(48, 9, 0.5);
+    for (int y = 0; y < ramp.height(); ++y)
+        for (int x = 0; x < ramp.width(); ++x)
+            ramp(x, y) = 0.02 * x * x + 0.01 * y;
+    HorizonOptions opt;
+    opt.azimuth_sectors = 16;
+    opt.max_distance = 20.0;
+    const int w = 20, h = 5;
+    expect_oracle_at_every_level(ramp, 1, 2, w, h, opt, "convex ramp");
+
+    SimdLevelGuard guard;
+    const std::uint64_t cell_sectors =
+        static_cast<std::uint64_t>(w) * h * opt.azimuth_sectors;
+    for (const SimdLevel level : runnable_levels()) {
+        set_simd_level(level);
+        const std::uint64_t calls =
+            batched_atan2_calls(ramp, 1, 2, w, h, opt);
+        EXPECT_GT(calls, 0u) << simd_level_name(level);
+        EXPECT_LE(calls, cell_sectors) << simd_level_name(level);
+    }
+}
+
+TEST(HorizonKernels, ObstaclesWithinTheGuardBandAreAllCandidates) {
+    // Uniform unit steps due east from the cell at x = 0 sample exactly
+    // the cell centers x = k at t = k, so an obstacle at x = k with
+    // height r * k has slope ratio r exactly.  Each case places
+    // obstacles whose ratios lie within (or just outside) the 1e-9
+    // relative band of the largest one; `in_band` is how many of them
+    // the angle pass must evaluate.
+    struct Obstacle {
+        int x;
+        double ratio_scale;
+    };
+    struct Case {
+        std::vector<Obstacle> obstacles;
+        std::uint64_t in_band;
+    };
+    const std::vector<Case> cases = {
+        {{{5, 1.0}, {13, 1.0 - 5e-10}}, 2},   // nearer one wins
+        {{{5, 1.0 - 5e-10}, {13, 1.0}}, 2},   // farther one wins
+        {{{4, 1.0}, {8, 1.0}, {16, 1.0}}, 3}, // equal ratios
+        {{{3, 1.0 - 3e-9}, {9, 1.0}, {14, 1.0 - 2e-10}}, 2},
+        {{{6, 1.0}, {11, 1.0 - 3e-9}}, 1},    // second just outside
+    };
+    HorizonOptions opt;
+    opt.azimuth_sectors = 4;  // sector 1 looks due east
+    opt.step_growth = 1.0;
+    opt.max_step_factor = 1.0;
+    opt.max_distance = 30.0;
+    opt.observer_offset = 0.0;
+    for (std::size_t c = 0; c < cases.size(); ++c) {
+        Raster dsm(40, 3, 1.0, 0.0);
+        for (const Obstacle& o : cases[c].obstacles)
+            for (int y = 0; y < dsm.height(); ++y)
+                dsm(o.x, y) = 0.7 * o.ratio_scale * o.x;
+        const std::string what = "band case " + std::to_string(c);
+        expect_oracle_at_every_level(dsm, 0, 1, 1, 1, opt, what);
+
+        const HorizonMap map(dsm, 0, 1, 1, 1, opt);
+        EXPECT_GT(map.horizon(0, 0, 1), 0.0) << what;
+        SimdLevelGuard guard;
+        for (const SimdLevel level : runnable_levels()) {
+            set_simd_level(level);
+            EXPECT_EQ(batched_atan2_calls(dsm, 0, 1, 1, 1, opt),
+                      cases[c].in_band)
+                << what << " level " << simd_level_name(level);
+        }
+    }
+}
+
+TEST(HorizonKernels, ObserverOnTheHighestCellSeesOpenSky) {
+    // A 3x3 plateau above rough terrain: every plateau cell's rays see
+    // terrain at most level with the observer (d == 0 on the plateau
+    // with no observer offset), so every angle is exactly 0 and the
+    // sky-view factor exactly 1.
+    Rng rng(0x0B5Eu);
+    Raster dsm(21, 17, 0.5);
+    for (int y = 0; y < dsm.height(); ++y)
+        for (int x = 0; x < dsm.width(); ++x)
+            dsm(x, y) = rng.uniform(0.0, 5.0);
+    for (int y = 7; y <= 9; ++y)
+        for (int x = 9; x <= 11; ++x) dsm(x, y) = 9.0;
+    for (const double offset : {0.0, 0.05}) {
+        HorizonOptions opt;
+        opt.azimuth_sectors = 24;
+        opt.max_distance = 12.0;
+        opt.observer_offset = offset;
+        const std::string what =
+            "plateau offset " + std::to_string(offset);
+        expect_oracle_at_every_level(dsm, 9, 7, 3, 3, opt, what);
+        SimdLevelGuard guard;
+        for (const SimdLevel level : runnable_levels()) {
+            set_simd_level(level);
+            const HorizonMap map(dsm, 9, 7, 3, 3, opt);
+            for (int wy = 0; wy < 3; ++wy) {
+                for (int wx = 0; wx < 3; ++wx) {
+                    for (int s = 0; s < opt.azimuth_sectors; ++s)
+                        ASSERT_EQ(map.horizon(wx, wy, s), 0.0) << what;
+                    ASSERT_EQ(map.sky_view_factor(wx, wy), 1.0) << what;
+                }
+            }
+            EXPECT_EQ(batched_atan2_calls(dsm, 9, 7, 3, 3, opt), 0u)
+                << what << " level " << simd_level_name(level);
+        }
+    }
+}
+
+TEST(HorizonKernels, EveryLaneRemainderWithLanesLeavingAtDifferentSteps) {
+    // Widths 1..17 cover every 4-lane and 8-lane remainder.  Windows flush
+    // against the west and east edges, with tall walls in the edge
+    // columns, make the lanes of one group leave the raster in x at
+    // different steps while their clamped samples keep seeing the walls,
+    // and the steps the others still march reuse the scratch of the
+    // previous group and sector.
+    Rng rng(0x5EC7u);
+    Raster dsm(41, 23, 0.5);
+    for (int y = 0; y < dsm.height(); ++y)
+        for (int x = 0; x < dsm.width(); ++x)
+            dsm(x, y) = rng.uniform(0.0, 4.0) + 0.004 * x * x;
+    for (int y = 0; y < dsm.height(); ++y) {
+        dsm(0, y) = 15.0;
+        dsm(dsm.width() - 1, y) = 18.0;
+    }
+    HorizonOptions opt;
+    opt.azimuth_sectors = 24;
+    opt.max_distance = 14.0;
+    for (const int w : {1, 3, 5, 7, 9, 17}) {
+        for (const int x0 : {0, dsm.width() - w, (dsm.width() - w) / 2}) {
+            expect_oracle_at_every_level(
+                dsm, x0, 2, w, 4, opt,
+                "width " + std::to_string(w) + " x0 " + std::to_string(x0));
+        }
+    }
+}
+
+TEST(HorizonKernels, CountersAreEqualAtEverySimdLevel) {
+#ifdef PVFP_OBS_DISABLED
+    GTEST_SKIP() << "telemetry compiled out";
+#else
+    const bool was_enabled = obs::enabled();
+    SimdLevelGuard guard;
+    const Raster dsm = test_dsms().front();
+    HorizonOptions opt;
+    opt.azimuth_sectors = 24;
+    opt.max_distance = 10.0;
+    const int w = dsm.width() - 3, h = dsm.height() - 2;
+    std::vector<std::string> per_level;
+    for (const SimdLevel level : runnable_levels()) {
+        set_simd_level(level);
+        obs::registry().reset_for_tests();
+        obs::set_enabled(true);
+        const HorizonMap map(dsm, 1, 1, w, h, opt);
+        std::uint64_t cell_sectors = 0, atan2_calls = 0;
+        for (const auto& [name, value] : obs::registry().snapshot().counters) {
+            if (name == "geo.horizon.cell_sectors") cell_sectors = value;
+            if (name == "geo.horizon.atan2_calls") atan2_calls = value;
+        }
+        EXPECT_EQ(cell_sectors,
+                  static_cast<std::uint64_t>(w) * h * opt.azimuth_sectors);
+        EXPECT_GT(atan2_calls, 0u);
+        EXPECT_LT(atan2_calls, cell_sectors);
+        per_level.push_back(std::to_string(cell_sectors) + "/" +
+                            std::to_string(atan2_calls));
+    }
+    obs::registry().reset_for_tests();
+    obs::set_enabled(was_enabled);
+    for (const std::string& counts : per_level)
+        EXPECT_EQ(counts, per_level.front());
+#endif
 }
 
 TEST(HorizonKernels, SimdTwinsAreCompiledOnX86) {

@@ -233,6 +233,10 @@ TEST(CityRunner, TelemetryOnOffAndThreadCountsGiveSameBytes) {
         << counters1;
     EXPECT_NE(counters1.find("core.evaluate.row_runs="), std::string::npos)
         << counters1;
+    EXPECT_NE(counters1.find("geo.horizon.cell_sectors="), std::string::npos)
+        << counters1;
+    EXPECT_NE(counters1.find("geo.horizon.atan2_calls="), std::string::npos)
+        << counters1;
     EXPECT_EQ(shared1, shared8);
     EXPECT_NE(shared1.find("gis.horizon_cache.hits="), std::string::npos)
         << shared1;
