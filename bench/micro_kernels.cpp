@@ -346,38 +346,21 @@ std::vector<solar::EnvSample> sky_bench_env(const TimeGrid& grid) {
     return env;
 }
 
-/// Baseline: the unbatched per-step sun_position + transposition loop
-/// (the pre-batching make_shared_sky, dominant pvfp_serve cold-start
-/// cost).
-void BM_SharedSkyPrepareReference(benchmark::State& state) {
-    const TimeGrid grid(15, 1, 365);
-    const auto env = sky_bench_env(grid);
-    const solar::Location location;
-    for (auto _ : state) {
-        const auto sky = solar::prepare_sky_artifact_reference(
-            location, grid, env, solar::SkyModel::HayDavies);
-        benchmark::DoNotOptimize(sky.beam_eq.data());
-    }
-    state.SetItemsProcessed(state.iterations() * grid.total_steps());
-}
-BENCHMARK(BM_SharedSkyPrepareReference);
-
-/// Batched prepare (per-day ephemeris hoisting + SIMD geometry and
-/// transposition kernels) at a given dispatch level.
+/// The shared-sky prepare: per-day ephemeris hoisting, elementwise
+/// geometry and transposition passes, and the step-plane build for the
+/// default 72 horizon sectors (the pvfp_serve cold-start cost per site).
 void BM_SharedSkyPrepare(benchmark::State& state) {
-    if (!apply_simd_arg(state)) return;
     const TimeGrid grid(15, 1, 365);
     const auto env = sky_bench_env(grid);
     const solar::Location location;
     for (auto _ : state) {
         const auto sky = solar::prepare_sky_artifact(
             location, grid, env, solar::SkyModel::HayDavies);
-        benchmark::DoNotOptimize(sky.beam_eq.data());
+        benchmark::DoNotOptimize(sky.planes.beam_eq.data());
     }
     state.SetItemsProcessed(state.iterations() * grid.total_steps());
-    set_simd_level_auto();
 }
-BENCHMARK(BM_SharedSkyPrepare)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_SharedSkyPrepare);
 
 /// A cadastral-scale footprint: a 10^4-vertex star-ribbon ring around
 /// the window center (radii alternating, so rows cross many edges).

@@ -75,10 +75,6 @@ for base, kernel, label in [
      "daylight series packed (avx2) vs gather (scalar)"),
     ("BM_DaylightSeriesGather/0", "BM_DaylightSeriesPacked/2",
      "daylight series packed (avx512) vs gather (scalar)"),
-    ("BM_SharedSkyPrepareReference", "BM_SharedSkyPrepare/1",
-     "shared-sky prepare batched-vs-reference (avx2)"),
-    ("BM_SharedSkyPrepareReference", "BM_SharedSkyPrepare/2",
-     "shared-sky prepare batched-vs-reference (avx512)"),
     ("BM_FootprintMaskPerCell/10000", "BM_FootprintMaskScanline/10000",
      "footprint mask scanline-vs-per-cell (10^4 vertices)"),
     ("BM_HorizonMapBatched/0", "BM_HorizonMapBatched/1",

@@ -283,11 +283,12 @@ EvaluationResult evaluate_floorplan(const Floorplan& plan,
     // footprint rows out of it in the scalar (yy, xx) cell order — the
     // additions / mins of anchor_irradiance_unchecked, so every g is
     // bitwise the per-cell value.  Scratch (the run buffer, the
-    // operating-point vector) comes from a pool so a shard reuses the
-    // previous shard's allocations.
+    // operating-point vector, the panel aggregate) comes from a pool so
+    // a shard reuses the previous shard's allocations.
     struct ShardScratch {
         std::vector<double> cells;  ///< run buffer, FootprintRuns::cells
         std::vector<pv::OperatingPoint> points;
+        pv::PanelOperating panel;  ///< refilled per step, no allocation
     };
     ScratchPool<ShardScratch> scratch_pool;
 
@@ -300,6 +301,7 @@ EvaluationResult evaluate_floorplan(const Floorplan& plan,
             scratch->points.resize(static_cast<std::size_t>(n_modules));
             double* const buf = scratch->cells.data();
             std::vector<pv::OperatingPoint>& points = scratch->points;
+            pv::PanelOperating& panel = scratch->panel;
             for (long k = kb; k < ke; ++k) {
                 const long s = k * stride;
                 if (!field.is_daylight(s)) continue;
@@ -336,7 +338,7 @@ EvaluationResult evaluate_floorplan(const Floorplan& plan,
                     points[static_cast<std::size_t>(i)] =
                         sample_operating_point(model, g, t_air, k_th);
                 }
-                const auto panel = pv::aggregate_panel(points, plan.topology);
+                pv::aggregate_panel(points, plan.topology, panel);
 
                 double wiring_w = 0.0;
                 if (options.include_wiring_loss) {

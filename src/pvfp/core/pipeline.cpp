@@ -82,7 +82,7 @@ PreparedScenario prepare_scenario(const RoofScenario& scenario,
             config.location, config.grid,
             weather::generate_synthetic_weather(config.location, config.grid,
                                                 config.weather),
-            config.field.sky_model);
+            config.field.sky_model, config.horizon.azimuth_sectors);
     }
 
     // Per-cell surface normals: DSM structure (undulation, obstacle
@@ -166,7 +166,7 @@ std::vector<ScenarioReport> run_scenarios(
             config.location, config.grid,
             weather::generate_synthetic_weather(config.location, config.grid,
                                                 config.weather),
-            config.field.sky_model);
+            config.field.sky_model, config.horizon.azimuth_sectors);
     }
 
     // PreparedScenario has no default constructor; build into optionals

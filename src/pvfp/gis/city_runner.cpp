@@ -179,7 +179,7 @@ CityRunSummary run_city(const TileIndex& tiles, const RoofRegistry& registry,
                          loc, base.grid,
                          weather::generate_synthetic_weather(
                              loc, base.grid, base.weather),
-                         base.field.sky_model));
+                         base.field.sky_model, base.horizon.azimuth_sectors));
         }
     };
 

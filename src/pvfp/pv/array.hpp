@@ -52,6 +52,12 @@ struct PanelOperating {
 PanelOperating aggregate_panel(std::span<const OperatingPoint> points,
                                const Topology& topology);
 
+/// Same aggregation into a caller-owned \p panel, reusing its strings
+/// storage: the per-step form for sweeps that aggregate once per time
+/// step.  Every field of \p panel is overwritten.
+void aggregate_panel(std::span<const OperatingPoint> points,
+                     const Topology& topology, PanelOperating& panel);
+
 /// Validate a topology against a module count; throws InvalidArgument on
 /// m*n != N or non-positive values.
 void check_topology(const Topology& topology, int module_count);

@@ -65,18 +65,12 @@ std::size_t prepared_scenario_bytes(const core::PreparedScenario& prepared) {
     // Per-cell surface normals (3 float planes over the window).
     bytes += static_cast<std::size_t>(horizon.cell_count()) * 3 *
              sizeof(float);
-    // Irradiance SoA step planes: 9 float planes, the daylight bytes,
-    // and the horizon-lerp precompute (2 x int32 + 1 x double).
-    bytes += static_cast<std::size_t>(prepared.field.steps()) *
-             (9 * sizeof(float) + sizeof(std::uint8_t) +
-              2 * sizeof(std::int32_t) + sizeof(double));
-    // Daylight-packed plane twins (7 float planes + 2 x int32 + 1 x
-    // double per daylight step) and the two step<->packed index maps.
-    bytes += static_cast<std::size_t>(prepared.field.packed_steps()) *
-             (7 * sizeof(float) + 2 * sizeof(std::int32_t) +
-              sizeof(double) + sizeof(long));
-    bytes += static_cast<std::size_t>(prepared.field.steps()) *
-             sizeof(long);
+    // The field's own step planes: the tilt-dependent sky-diffuse and
+    // reflected floats per step and their daylight-packed twins.  Every
+    // other step plane belongs to the site's sky artifact.
+    bytes += static_cast<std::size_t>(prepared.field.steps() +
+                                      prepared.field.packed_steps()) *
+             2 * sizeof(float);
     // Suitability, G percentile, T percentile grids.
     bytes += (prepared.suitability.suitability.size() +
               prepared.suitability.g_percentile.size() +
@@ -86,10 +80,42 @@ std::size_t prepared_scenario_bytes(const core::PreparedScenario& prepared) {
 }
 
 std::size_t sky_artifact_bytes(const solar::SharedSkyArtifact& artifact) {
-    const auto steps = static_cast<std::size_t>(artifact.steps());
-    // env (4 doubles) + 7 double series + the daylight byte per step.
-    return steps * (sizeof(solar::EnvSample) + 7 * sizeof(double) +
-                    sizeof(std::uint8_t));
+    std::size_t bytes = 0;
+    const auto add = [&bytes](const auto& v) {
+        bytes += v.size() * sizeof(v[0]);
+    };
+    add(artifact.env);
+    add(artifact.sun_azimuth);
+    add(artifact.sun_elevation);
+    add(artifact.daylight);
+    add(artifact.sun_e);
+    add(artifact.sun_n);
+    add(artifact.sun_u);
+    add(artifact.beam_eq);
+    add(artifact.dhi_iso);
+    // The kernels' float step planes, shared by every roof of the site.
+    const solar::SkyStepPlanes& p = artifact.planes;
+    add(p.beam_eq);
+    add(p.temp_air);
+    add(p.sun_azimuth);
+    add(p.sun_elevation);
+    add(p.sun_e);
+    add(p.sun_n);
+    add(p.sun_u);
+    add(p.hor_sec0);
+    add(p.hor_sec1);
+    add(p.hor_frac);
+    add(p.p_beam_eq);
+    add(p.p_sun_elevation);
+    add(p.p_sun_e);
+    add(p.p_sun_n);
+    add(p.p_sun_u);
+    add(p.p_hor_sec0);
+    add(p.p_hor_sec1);
+    add(p.p_hor_frac);
+    add(p.packed_to_step);
+    add(p.step_to_packed);
+    return bytes;
 }
 
 ResidentState::ResidentState(gis::TileIndex tiles, gis::RoofRegistry registry,
@@ -172,7 +198,8 @@ std::shared_ptr<const solar::SharedSkyArtifact> ResidentState::sky_for(
                 location, base_config_.grid,
                 weather::generate_synthetic_weather(
                     location, base_config_.grid, base_config_.weather),
-                base_config_.field.sky_model);
+                base_config_.field.sky_model,
+                base_config_.horizon.azimuth_sectors);
         });
 }
 

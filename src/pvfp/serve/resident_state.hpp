@@ -10,11 +10,12 @@
 ///   TileIndex (scanned once)  +  RoofRegistry (swappable snapshot)
 ///   -> TileCache              (decoded tiles, bounded LRU, PR-5)
 ///   -> per-site SharedSkyArtifact cache (one sun/transposition
-///      precompute per distinct site, shared by every roof there)
+///      precompute and one set of irradiance step planes per distinct
+///      site, shared by every roof there)
 ///   -> per-roof PreparedRoof cache (mosaic + plane fit + HorizonMap +
-///      IrradianceField + suitability — everything a rank/plan request
-///      needs), LRU-evicted against a byte budget accounted from the
-///      actual buffer sizes.
+///      IrradianceField's two tilt-dependent planes + suitability —
+///      everything a rank/plan request needs), LRU-evicted against a
+///      byte budget accounted from the actual buffer sizes.
 ///
 /// Entries are content-hashed over the registry record and the build
 /// knobs, so an index edit (new bbox, moved polygon, changed site)
@@ -177,10 +178,12 @@ private:
 };
 
 /// Actual buffer footprint of a prepared scenario (the accounting unit
-/// of the memory budget); exposed for the eviction tests.
+/// of the memory budget), excluding the step planes its field reads from
+/// the site's sky artifact; exposed for the eviction tests.
 std::size_t prepared_scenario_bytes(const core::PreparedScenario& prepared);
 
-/// Bytes of one shared sky artifact.
+/// Bytes of one shared sky artifact: its double series and the step
+/// planes every roof of the site reads.
 std::size_t sky_artifact_bytes(const solar::SharedSkyArtifact& artifact);
 
 /// FNV-1a content hash of a registry record under \p build — the

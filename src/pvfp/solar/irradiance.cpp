@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "pvfp/solar/irradiance_kernels.hpp"
 #include "pvfp/util/error.hpp"
@@ -10,17 +11,6 @@
 #include "pvfp/util/simd.hpp"
 
 namespace pvfp::solar {
-namespace {
-
-/// Member-initializer guard: the artifact ctor reads its time grid from
-/// the artifact, which must exist before any member touches it.
-const pvfp::TimeGrid& sky_grid_checked(
-    const std::shared_ptr<const SharedSkyArtifact>& sky) {
-    check_arg(sky != nullptr, "IrradianceField: null sky artifact");
-    return sky->grid;
-}
-
-}  // namespace
 
 IrradianceField::IrradianceField(geo::HorizonMap horizon,
                                  std::vector<EnvSample> env,
@@ -28,37 +18,51 @@ IrradianceField::IrradianceField(geo::HorizonMap horizon,
                                  double azimuth_rad,
                                  const FieldConfig& config,
                                  geo::NormalMap normals)
+    : horizon_(std::move(horizon)), tilt_rad_(tilt_rad),
+      azimuth_rad_(azimuth_rad), config_(config),
+      normals_(std::move(normals)) {
     // Self-contained path: prepare a private sky artifact for this env
-    // series and delegate.  One implementation of the per-step math —
-    // the shared-sky batch path and this path produce the same bits.
-    : IrradianceField(std::move(horizon),
-                      make_shared_sky(config.location, grid, std::move(env),
-                                      config.sky_model),
-                      tilt_rad, azimuth_rad, config, std::move(normals)) {}
+    // series and this window's sector count.  One implementation of the
+    // per-step math — the shared-sky batch path and this path produce
+    // the same bits.
+    init(make_shared_sky(config.location, grid, std::move(env),
+                         config.sky_model, horizon_.sectors()));
+}
 
 IrradianceField::IrradianceField(geo::HorizonMap horizon,
                                  std::shared_ptr<const SharedSkyArtifact> sky,
                                  double tilt_rad, double azimuth_rad,
                                  const FieldConfig& config,
                                  geo::NormalMap normals)
-    : horizon_(std::move(horizon)), grid_(sky_grid_checked(sky)),
-      tilt_rad_(tilt_rad), azimuth_rad_(azimuth_rad), config_(config),
+    : horizon_(std::move(horizon)), tilt_rad_(tilt_rad),
+      azimuth_rad_(azimuth_rad), config_(config),
       normals_(std::move(normals)) {
-    check_arg(tilt_rad >= 0.0 && tilt_rad <= kPi / 2.0,
+    init(std::move(sky));
+}
+
+void IrradianceField::init(std::shared_ptr<const SharedSkyArtifact> sky) {
+    check_arg(sky != nullptr, "IrradianceField: null sky artifact");
+    check_arg(tilt_rad_ >= 0.0 && tilt_rad_ <= kPi / 2.0,
               "IrradianceField: tilt out of range");
-    check_arg(config.thermal_k >= 0.0,
+    check_arg(config_.thermal_k >= 0.0,
               "IrradianceField: thermal_k must be non-negative");
     // The precomputed sun positions and circumsolar split embed the
-    // artifact's site and sky model; a mismatched FieldConfig would
-    // silently compute a different physics than asked for.
-    check_arg(config.location.latitude_deg == sky->location.latitude_deg &&
-                  config.location.longitude_deg ==
+    // artifact's site and sky model, and its sector indices the horizon
+    // sector count; a mismatch would silently compute a different
+    // physics than asked for.
+    check_arg(config_.location.latitude_deg == sky->location.latitude_deg &&
+                  config_.location.longitude_deg ==
                       sky->location.longitude_deg &&
-                  config.location.timezone_hours ==
+                  config_.location.timezone_hours ==
                       sky->location.timezone_hours,
               "IrradianceField: config.location != sky artifact location");
-    check_arg(config.sky_model == sky->sky_model,
+    check_arg(config_.sky_model == sky->sky_model,
               "IrradianceField: config.sky_model != sky artifact model");
+    check_arg(sky->planes.sectors == horizon_.sectors(),
+              "IrradianceField: sky artifact built for " +
+                  std::to_string(sky->planes.sectors) +
+                  " horizon sectors, horizon map has " +
+                  std::to_string(horizon_.sectors()));
     has_normals_ = normals_.width() > 0;
     if (has_normals_) {
         check_arg(normals_.width() == horizon_.window_width() &&
@@ -72,117 +76,47 @@ IrradianceField::IrradianceField(geo::HorizonMap horizon,
                       static_cast<long long>(horizon_.sectors()) <=
                   std::numeric_limits<std::int32_t>::max(),
               "IrradianceField: horizon map too large for batch kernels");
+    sky_ = std::move(sky);
 
     // Uniform plane normal: leans toward the downslope azimuth.
     plane_e_ = std::sin(tilt_rad_) * std::sin(azimuth_rad_);
     plane_n_ = std::sin(tilt_rad_) * std::cos(azimuth_rad_);
     plane_u_ = std::cos(tilt_rad_);
 
-    const std::size_t n = sky->env.size();
-    beam_eq_.resize(n);
+    // Per-roof finish: the only tilt-dependent transposition factors
+    // (isotropic-sky and ground-reflected projections), two multiplies
+    // per step, chunked deterministically.  Every other step plane is
+    // the artifact's.
+    const SharedSkyArtifact& a = *sky_;
+    const std::size_t n = a.env.size();
     sky_diffuse_.resize(n);
     reflected_.resize(n);
-    temp_air_.resize(n);
-    sun_azimuth_.resize(n);
-    sun_elevation_.resize(n);
-    sun_e_.resize(n);
-    sun_n_.resize(n);
-    sun_u_.resize(n);
-    daylight_.resize(n);
-    hor_off0_.resize(n);
-    hor_off1_.resize(n);
-    hor_frac_.resize(n);
-
-    const int sectors = horizon_.sectors();
-    const std::int32_t ncells =
-        static_cast<std::int32_t>(horizon_.cell_count());
-    const SharedSkyArtifact& a = *sky;
-
-    // Per-roof finish: round the shared per-step precompute into the
-    // float SoA planes and apply the only tilt-dependent transposition
-    // factors (isotropic-sky and ground-reflected projections).  The
-    // expensive per-step work — sun position, circumsolar split — was
-    // done once in the artifact; this loop is two multiplies and a
-    // handful of casts per step, chunked deterministically.
-    parallel_for(0, grid_.total_steps(), 4096, [&](long sb, long se) {
-    for (long s = sb; s < se; ++s) {
-        const std::size_t si = static_cast<std::size_t>(s);
-        const EnvSample& e = a.env[si];
-        sun_azimuth_[si] = static_cast<float>(a.sun_azimuth[si]);
-        sun_elevation_[si] = static_cast<float>(a.sun_elevation[si]);
-        daylight_[si] = a.daylight[si];
-        temp_air_[si] = static_cast<float>(e.temp_air_c);
-        sun_e_[si] = static_cast<float>(a.sun_e[si]);
-        sun_n_[si] = static_cast<float>(a.sun_n[si]);
-        sun_u_[si] = static_cast<float>(a.sun_u[si]);
-
-        float beam_eq_f = 0.0f;
-        float sky_diffuse_f = 0.0f;
-        float reflected_f = 0.0f;
-        if (e.ghi > 0.0 || e.dhi > 0.0) {
-            beam_eq_f = static_cast<float>(a.beam_eq[si]);
-            // Isotropic sky share and ground-reflected term on the plane.
-            sky_diffuse_f = static_cast<float>(
-                a.dhi_iso[si] * (1.0 + std::cos(tilt_rad_)) / 2.0);
-            reflected_f = static_cast<float>(
-                e.ghi * config_.albedo * (1.0 - std::cos(tilt_rad_)) / 2.0);
+    const double cos_tilt = std::cos(tilt_rad_);
+    parallel_for(0, a.steps(), 4096, [&](long sb, long se) {
+        for (long s = sb; s < se; ++s) {
+            const std::size_t si = static_cast<std::size_t>(s);
+            const EnvSample& e = a.env[si];
+            float sky_diffuse_f = 0.0f;
+            float reflected_f = 0.0f;
+            if (e.ghi > 0.0 || e.dhi > 0.0) {
+                sky_diffuse_f = static_cast<float>(
+                    a.dhi_iso[si] * (1.0 + cos_tilt) / 2.0);
+                reflected_f = static_cast<float>(
+                    e.ghi * config_.albedo * (1.0 - cos_tilt) / 2.0);
+            }
+            sky_diffuse_[si] = sky_diffuse_f;
+            reflected_[si] = reflected_f;
         }
-        beam_eq_[si] = beam_eq_f;
-        sky_diffuse_[si] = sky_diffuse_f;
-        reflected_[si] = reflected_f;
-
-        // Horizon interpolation weights for this step's sun azimuth —
-        // exactly the arithmetic of HorizonMap::horizon_at_unchecked, so
-        // the batch kernels reproduce the scalar lookup bit for bit.
-        const double pos =
-            wrap_two_pi(static_cast<double>(sun_azimuth_[si])) / kTwoPi *
-            sectors;
-        const int s0 = static_cast<int>(pos) % sectors;
-        const int s1 = (s0 + 1) % sectors;
-        hor_off0_[si] = static_cast<std::int32_t>(s0) * ncells;
-        hor_off1_[si] = static_cast<std::int32_t>(s1) * ncells;
-        hor_frac_[si] = pos - std::floor(pos);
-    }
     });
 
-    // Daylight-packed twins: compact every per-step quantity the series
-    // kernels touch over daylight steps only, in step order.  A stride-1
-    // daylight sweep (the incremental evaluator's per-anchor series)
-    // then maps to a contiguous packed run and runs unit-stride with no
-    // gathers — see cell_irradiance_series_unchecked.  Pure bitwise
-    // copies; ~50% of steps are daylight, so this costs about half a
-    // plane set of extra memory (accounted in serve::ResidentState's
-    // budget).
-    step_to_packed_.assign(n, -1);
-    long nd = 0;
-    for (std::size_t si = 0; si < n; ++si)
-        if (daylight_[si] != 0) ++nd;
-    p_beam_eq_.resize(static_cast<std::size_t>(nd));
-    p_sky_diffuse_.resize(static_cast<std::size_t>(nd));
-    p_reflected_.resize(static_cast<std::size_t>(nd));
-    p_sun_elevation_.resize(static_cast<std::size_t>(nd));
-    p_sun_e_.resize(static_cast<std::size_t>(nd));
-    p_sun_n_.resize(static_cast<std::size_t>(nd));
-    p_sun_u_.resize(static_cast<std::size_t>(nd));
-    p_hor_off0_.resize(static_cast<std::size_t>(nd));
-    p_hor_off1_.resize(static_cast<std::size_t>(nd));
-    p_hor_frac_.resize(static_cast<std::size_t>(nd));
-    packed_to_step_.reserve(static_cast<std::size_t>(nd));
-    for (std::size_t si = 0; si < n; ++si) {
-        if (daylight_[si] == 0) continue;
-        const std::size_t p = packed_to_step_.size();
-        step_to_packed_[si] = static_cast<long>(p);
-        p_beam_eq_[p] = beam_eq_[si];
+    // Daylight-packed twins of the two roof planes (bitwise copies).
+    const std::vector<long>& packed = a.planes.packed_to_step;
+    p_sky_diffuse_.resize(packed.size());
+    p_reflected_.resize(packed.size());
+    for (std::size_t p = 0; p < packed.size(); ++p) {
+        const std::size_t si = static_cast<std::size_t>(packed[p]);
         p_sky_diffuse_[p] = sky_diffuse_[si];
         p_reflected_[p] = reflected_[si];
-        p_sun_elevation_[p] = sun_elevation_[si];
-        p_sun_e_[p] = sun_e_[si];
-        p_sun_n_[p] = sun_n_[si];
-        p_sun_u_[p] = sun_u_[si];
-        p_hor_off0_[p] = hor_off0_[si];
-        p_hor_off1_[p] = hor_off1_[si];
-        p_hor_frac_[p] = hor_frac_[si];
-        packed_to_step_.push_back(static_cast<long>(si));
     }
 }
 
@@ -197,49 +131,51 @@ double IrradianceField::cell_irradiance_unchecked(int x, int y,
                                                   long s) const {
     // Innermost scalar hot path (per cell per step): the iteration
     // domain is validated once at the public call-site boundary.
-    assert(s >= 0 && s < static_cast<long>(daylight_.size()));
+    assert(s >= 0 && s < steps());
     const std::size_t si = static_cast<std::size_t>(s);
+    const SkyStepPlanes& p = sky_->planes;
     double g = reflected_[si];
     g += horizon_.sky_view_factor_unchecked(x, y) * sky_diffuse_[si];
-    if (beam_eq_[si] > 0.0f &&
-        !horizon_.is_shaded_unchecked(x, y, sun_azimuth_[si],
-                                      sun_elevation_[si])) {
+    if (p.beam_eq[si] > 0.0f &&
+        !horizon_.is_shaded_unchecked(x, y, p.sun_azimuth[si],
+                                      p.sun_elevation[si])) {
         double cosi;
         if (has_normals_) {
-            cosi = normals_.east(x, y) * sun_e_[si] +
-                   normals_.north(x, y) * sun_n_[si] +
-                   normals_.up(x, y) * sun_u_[si];
+            cosi = normals_.east(x, y) * p.sun_e[si] +
+                   normals_.north(x, y) * p.sun_n[si] +
+                   normals_.up(x, y) * p.sun_u[si];
         } else {
-            cosi = plane_e_ * sun_e_[si] + plane_n_ * sun_n_[si] +
-                   plane_u_ * sun_u_[si];
+            cosi = plane_e_ * p.sun_e[si] + plane_n_ * p.sun_n[si] +
+                   plane_u_ * p.sun_u[si];
         }
-        if (cosi > 0.0) g += beam_eq_[si] * cosi;
+        if (cosi > 0.0) g += p.beam_eq[si] * cosi;
     }
     return g;
 }
 
 detail::FieldView IrradianceField::view() const {
+    const SkyStepPlanes& p = sky_->planes;
     detail::FieldView v;
-    v.beam_eq = beam_eq_.data();
+    v.beam_eq = p.beam_eq.data();
     v.sky_diffuse = sky_diffuse_.data();
     v.reflected = reflected_.data();
-    v.sun_elevation = sun_elevation_.data();
-    v.sun_e = sun_e_.data();
-    v.sun_n = sun_n_.data();
-    v.sun_u = sun_u_.data();
-    v.hor_off0 = hor_off0_.data();
-    v.hor_off1 = hor_off1_.data();
-    v.hor_frac = hor_frac_.data();
-    v.p_beam_eq = p_beam_eq_.data();
+    v.sun_elevation = p.sun_elevation.data();
+    v.sun_e = p.sun_e.data();
+    v.sun_n = p.sun_n.data();
+    v.sun_u = p.sun_u.data();
+    v.hor_sec0 = p.hor_sec0.data();
+    v.hor_sec1 = p.hor_sec1.data();
+    v.hor_frac = p.hor_frac.data();
+    v.p_beam_eq = p.p_beam_eq.data();
     v.p_sky_diffuse = p_sky_diffuse_.data();
     v.p_reflected = p_reflected_.data();
-    v.p_sun_elevation = p_sun_elevation_.data();
-    v.p_sun_e = p_sun_e_.data();
-    v.p_sun_n = p_sun_n_.data();
-    v.p_sun_u = p_sun_u_.data();
-    v.p_hor_off0 = p_hor_off0_.data();
-    v.p_hor_off1 = p_hor_off1_.data();
-    v.p_hor_frac = p_hor_frac_.data();
+    v.p_sun_elevation = p.p_sun_elevation.data();
+    v.p_sun_e = p.p_sun_e.data();
+    v.p_sun_n = p.p_sun_n.data();
+    v.p_sun_u = p.p_sun_u.data();
+    v.p_hor_sec0 = p.p_hor_sec0.data();
+    v.p_hor_sec1 = p.p_hor_sec1.data();
+    v.p_hor_frac = p.p_hor_frac.data();
     v.angles = horizon_.angles_data();
     v.svf = horizon_.svf_data();
     if (has_normals_) {
@@ -251,6 +187,7 @@ detail::FieldView IrradianceField::view() const {
     v.plane_n = plane_n_;
     v.plane_u = plane_u_;
     v.width = width();
+    v.cells = static_cast<std::int32_t>(horizon_.cell_count());
     return v;
 }
 
@@ -287,11 +224,12 @@ void IrradianceField::cell_irradiance_series_unchecked(
     // gathering.  The O(n) detection scan is a table walk, far cheaper
     // than the gathers it replaces; any mismatch (night step first,
     // strides, scrambled order) falls back to the gather kernel.
-    const long p0 = step_to_packed_[static_cast<std::size_t>(steps[0])];
+    const std::vector<long>& step_to_packed = sky_->planes.step_to_packed;
+    const long p0 = step_to_packed[static_cast<std::size_t>(steps[0])];
     if (p0 >= 0) {
         bool contiguous = true;
         for (std::size_t k = 1; k < steps.size(); ++k) {
-            if (step_to_packed_[static_cast<std::size_t>(steps[k])] !=
+            if (step_to_packed[static_cast<std::size_t>(steps[k])] !=
                 p0 + static_cast<long>(k)) {
                 contiguous = false;
                 break;
@@ -341,16 +279,17 @@ double IrradianceField::cell_module_temperature(int x, int y, long s) const {
 double IrradianceField::plane_irradiance_unshaded(long s) const {
     check_step(s);
     const std::size_t si = static_cast<std::size_t>(s);
-    const double cosi = plane_e_ * sun_e_[si] + plane_n_ * sun_n_[si] +
-                        plane_u_ * sun_u_[si];
-    return beam_eq_[si] * std::max(0.0, cosi) + sky_diffuse_[si] +
+    const SkyStepPlanes& p = sky_->planes;
+    const double cosi = plane_e_ * p.sun_e[si] + plane_n_ * p.sun_n[si] +
+                        plane_u_ * p.sun_u[si];
+    return p.beam_eq[si] * std::max(0.0, cosi) + sky_diffuse_[si] +
            reflected_[si];
 }
 
 double IrradianceField::unshaded_insolation_kwh_m2() const {
     double wh = 0.0;
     for (long s = 0; s < steps(); ++s)
-        wh += plane_irradiance_unshaded(s) * grid_.step_hours();
+        wh += plane_irradiance_unshaded(s) * time_grid().step_hours();
     return wh / 1000.0;
 }
 

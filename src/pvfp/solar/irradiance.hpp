@@ -35,6 +35,19 @@
 /// the packed planes unit-stride — no gathers, no night lanes — via
 /// cell_irradiance_packed; packed_to_step()/packed_index() map between
 /// the two step domains.
+///
+/// Memory model.  Every step plane except the two tilt-dependent ones
+/// belongs to the site: beam, air temperature, sun angles and vector,
+/// daylight flags, the horizon-sector indices and lerp fraction, their
+/// packed twins and the index maps live once in the SharedSkyArtifact
+/// (SkyStepPlanes), which every field built on it references by
+/// shared_ptr.  A field owns only its window's horizon and normal planes
+/// plus the in-plane sky-diffuse and ground-reflected planes and their
+/// packed twins: 8 bytes per step and 8 per daylight step, about 1.3 MB
+/// on a 5-minute year.  The kernels address a cell's horizon angles as
+/// sector index x the window's cell count + cell, formed in int32 per
+/// step (row kernels) or per vector of steps (packed kernels), the same
+/// offsets a per-field offset plane would hold.
 
 #include <cassert>
 #include <cstdint>
@@ -66,7 +79,7 @@ struct FieldConfig {
 namespace detail {
 
 /// Raw pointer view of the field's SoA planes, consumed by the scalar
-/// and AVX2 batch kernels (irradiance_kernels.hpp).  Pointers stay valid
+/// and SIMD batch kernels (irradiance_kernels.hpp).  Pointers stay valid
 /// for the lifetime of the owning IrradianceField.
 struct FieldView {
     // Step-indexed planes (one entry per time step).
@@ -77,17 +90,19 @@ struct FieldView {
     const float* sun_e = nullptr;
     const float* sun_n = nullptr;
     const float* sun_u = nullptr;
-    /// Horizon interpolation per step: angle-plane offsets of the two
-    /// sectors bracketing the sun azimuth (already multiplied by the
-    /// cell count) and the interpolation fraction.
-    const std::int32_t* hor_off0 = nullptr;
-    const std::int32_t* hor_off1 = nullptr;
+    /// Horizon interpolation per step: the two sectors bracketing the
+    /// sun azimuth and the interpolation fraction.  A sector's angle
+    /// plane starts at angles + sector * cells.
+    const std::int32_t* hor_sec0 = nullptr;
+    const std::int32_t* hor_sec1 = nullptr;
     const double* hor_frac = nullptr;
     // Daylight-packed step planes: the same per-step quantities
     // compacted over daylight steps only, in step order, so stride-1
     // daylight sweeps read them unit-stride with no gathers and no
     // night lanes.  Values are bitwise copies of the step planes above
-    // (the packed kernels recompute nothing).
+    // (the packed kernels recompute nothing).  All step planes but
+    // sky_diffuse / reflected and their twins are the site's shared
+    // SkyStepPlanes.
     const float* p_beam_eq = nullptr;
     const float* p_sky_diffuse = nullptr;
     const float* p_reflected = nullptr;
@@ -95,8 +110,8 @@ struct FieldView {
     const float* p_sun_e = nullptr;
     const float* p_sun_n = nullptr;
     const float* p_sun_u = nullptr;
-    const std::int32_t* p_hor_off0 = nullptr;
-    const std::int32_t* p_hor_off1 = nullptr;
+    const std::int32_t* p_hor_sec0 = nullptr;
+    const std::int32_t* p_hor_sec1 = nullptr;
     const double* p_hor_frac = nullptr;
     // Cell-indexed planes (row-major over the window).
     const float* angles = nullptr;  ///< sector-major horizon planes
@@ -109,6 +124,8 @@ struct FieldView {
     double plane_n = 0.0;
     double plane_u = 1.0;
     int width = 0;  ///< window width: row stride of the cell planes
+    /// Window cell count: the stride between sector angle planes.
+    std::int32_t cells = 0;
 };
 
 }  // namespace detail
@@ -130,13 +147,15 @@ public:
                     geo::NormalMap normals = {});
 
     /// Shared-sky constructor (ROADMAP "shared-weather batching"): build
-    /// from a SharedSkyArtifact prepared once per batch instead of a
-    /// private env series.  The time grid comes from the artifact;
-    /// \p config.location and \p config.sky_model must match the
-    /// artifact's exactly (checked), since the precomputed sun positions
-    /// and circumsolar split embed them.  Bitwise identical to the
-    /// self-contained constructor above for the same inputs — that
-    /// constructor now delegates here.
+    /// from a SharedSkyArtifact prepared once per site instead of a
+    /// private env series, and read its step planes in place.  The time
+    /// grid comes from the artifact; \p config.location and
+    /// \p config.sky_model must match the artifact's exactly, and the
+    /// artifact must be built for horizon.sectors() sectors (all
+    /// checked: the precomputed sun positions, circumsolar split and
+    /// sector indices embed them).  Bitwise identical to the
+    /// self-contained constructor above for the same inputs, which
+    /// prepares a private artifact for its horizon's sector count.
     IrradianceField(geo::HorizonMap horizon,
                     std::shared_ptr<const SharedSkyArtifact> sky,
                     double tilt_rad, double azimuth_rad,
@@ -145,8 +164,8 @@ public:
 
     int width() const { return horizon_.window_width(); }
     int height() const { return horizon_.window_height(); }
-    long steps() const { return grid_.total_steps(); }
-    const pvfp::TimeGrid& time_grid() const { return grid_; }
+    long steps() const { return sky_->steps(); }
+    const pvfp::TimeGrid& time_grid() const { return sky_->grid; }
     const FieldConfig& config() const { return config_; }
     double tilt_rad() const { return tilt_rad_; }
     double azimuth_rad() const { return azimuth_rad_; }
@@ -155,34 +174,37 @@ public:
     /// True when the sun is above the horizon at step \p s.
     bool is_daylight(long s) const {
         check_step(s);
-        return daylight_[static_cast<std::size_t>(s)] != 0;
+        return sky_->daylight[static_cast<std::size_t>(s)] != 0;
     }
 
     /// Number of daylight steps — the length of the packed step planes.
     long packed_steps() const {
-        return static_cast<long>(packed_to_step_.size());
+        return static_cast<long>(sky_->planes.packed_to_step.size());
     }
 
     /// Original step index of packed index \p p (ascending in p).
-    std::span<const long> packed_to_step() const { return packed_to_step_; }
+    std::span<const long> packed_to_step() const {
+        return sky_->planes.packed_to_step;
+    }
 
     /// Packed index of step \p s, or -1 when \p s is a night step.
     long packed_index(long s) const {
         check_step(s);
-        return step_to_packed_[static_cast<std::size_t>(s)];
+        return sky_->planes.step_to_packed[static_cast<std::size_t>(s)];
     }
 
     /// Sun position at step \p s.
     SunPosition sun(long s) const {
         check_step(s);
-        return SunPosition{sun_azimuth_[static_cast<std::size_t>(s)],
-                           sun_elevation_[static_cast<std::size_t>(s)]};
+        const std::size_t si = static_cast<std::size_t>(s);
+        return SunPosition{sky_->planes.sun_azimuth[si],
+                           sky_->planes.sun_elevation[si]};
     }
 
     /// Ambient air temperature [deg C] at step \p s.
     double air_temperature(long s) const {
         check_step(s);
-        return temp_air_[static_cast<std::size_t>(s)];
+        return sky_->planes.temp_air[static_cast<std::size_t>(s)];
     }
 
     /// Plane-of-array irradiance [W/m^2] at cell (x,y) (window-local
@@ -262,14 +284,17 @@ public:
     detail::FieldView view() const;
 
 private:
+    /// Shared tail of both constructors: validate the artifact against
+    /// the config and the window, and build the per-roof planes.
+    void init(std::shared_ptr<const SharedSkyArtifact> sky);
+
     /// Validating step guard backing the public per-step methods.
     void check_step(long s) const {
-        check_arg(s >= 0 && s < static_cast<long>(daylight_.size()),
+        check_arg(s >= 0 && s < steps(),
                   "IrradianceField: step out of range");
     }
 
     geo::HorizonMap horizon_;
-    pvfp::TimeGrid grid_;
     double tilt_rad_;
     double azimuth_rad_;
     FieldConfig config_;
@@ -280,41 +305,15 @@ private:
     double plane_n_ = 0.0;
     double plane_u_ = 1.0;
 
-    // Per-step SoA planes (formerly one array-of-structs).  beam_eq is
-    // the beam(+circumsolar) normal-equivalent magnitude [W/m^2]: a
-    // cell's plane-of-array beam is beam_eq * max(0, n_cell . s).
-    std::vector<float> beam_eq_;
-    std::vector<float> sky_diffuse_;  ///< isotropic sky diffuse, in plane
-    std::vector<float> reflected_;    ///< ground-reflected, in plane
-    std::vector<float> temp_air_;
-    std::vector<float> sun_azimuth_;
-    std::vector<float> sun_elevation_;
-    /// Sun unit vector (east, north, up).
-    std::vector<float> sun_e_;
-    std::vector<float> sun_n_;
-    std::vector<float> sun_u_;
-    std::vector<std::uint8_t> daylight_;
-    /// Precomputed horizon interpolation per step: the batch kernels
-    /// look up angles[hor_off{0,1}[s] + cell] and lerp with hor_frac[s];
-    /// values replicate HorizonMap::horizon_at_unchecked bit for bit.
-    std::vector<std::int32_t> hor_off0_;
-    std::vector<std::int32_t> hor_off1_;
-    std::vector<double> hor_frac_;
-    /// Daylight-packed twins of the step planes above (bitwise copies,
-    /// daylight steps only, in step order) plus the index maps between
-    /// the two domains.  step_to_packed_ is -1 on night steps.
-    std::vector<float> p_beam_eq_;
+    /// The site's step planes (shared, immutable).
+    std::shared_ptr<const SharedSkyArtifact> sky_;
+    /// The only tilt-dependent step planes: isotropic sky diffuse and
+    /// ground-reflected irradiance in the roof plane, and their
+    /// daylight-packed twins.
+    std::vector<float> sky_diffuse_;
+    std::vector<float> reflected_;
     std::vector<float> p_sky_diffuse_;
     std::vector<float> p_reflected_;
-    std::vector<float> p_sun_elevation_;
-    std::vector<float> p_sun_e_;
-    std::vector<float> p_sun_n_;
-    std::vector<float> p_sun_u_;
-    std::vector<std::int32_t> p_hor_off0_;
-    std::vector<std::int32_t> p_hor_off1_;
-    std::vector<double> p_hor_frac_;
-    std::vector<long> packed_to_step_;
-    std::vector<long> step_to_packed_;
 };
 
 }  // namespace pvfp::solar

@@ -76,8 +76,8 @@ __attribute__((target("avx2"))) void cell_row_avx2(const FieldView& f,
     const __m256d beam_v = _mm256_set1_pd(f.beam_eq[si]);
     const __m256d elev_v = _mm256_set1_pd(elev_f);
     const __m256d frac_v = _mm256_set1_pd(f.hor_frac[si]);
-    const float* a0p = f.angles + f.hor_off0[si] + ci0;
-    const float* a1p = f.angles + f.hor_off1[si] + ci0;
+    const float* a0p = f.angles + f.hor_sec0[si] * f.cells + ci0;
+    const float* a1p = f.angles + f.hor_sec1[si] * f.cells + ci0;
 
     if (uniform) {
         const __m256d add_v = _mm256_mul_pd(beam_v, _mm256_set1_pd(cosi_u));
@@ -129,9 +129,9 @@ __attribute__((target("avx2"))) void cell_packed_avx2(const FieldView& f,
                                                       int x, int y, long p0,
                                                       long p1, double* out) {
     // Unit-stride sweep over the daylight-packed planes: every step
-    // plane is a contiguous load (the horizon
-    // angle lookups stay gathers — they index the per-cell angle
-    // planes by sector offset, which varies per step).
+    // plane is a contiguous load (the horizon angle lookups stay
+    // gathers — they index the per-cell angle planes by sector, which
+    // varies per step).
     const long ci = static_cast<long>(y) * f.width + x;
     const float* angles_cell = f.angles + ci;
     const __m256d svf_v = _mm256_set1_pd(f.svf[ci]);
@@ -144,8 +144,9 @@ __attribute__((target("avx2"))) void cell_packed_avx2(const FieldView& f,
     const float* se_p = f.p_sun_e + p0;
     const float* sn_p = f.p_sun_n + p0;
     const float* su_p = f.p_sun_u + p0;
-    const std::int32_t* off0_p = f.p_hor_off0 + p0;
-    const std::int32_t* off1_p = f.p_hor_off1 + p0;
+    const std::int32_t* sec0_p = f.p_hor_sec0 + p0;
+    const std::int32_t* sec1_p = f.p_hor_sec1 + p0;
+    const __m128i cells_v = _mm_set1_epi32(f.cells);
     const double* frac_p = f.p_hor_frac + p0;
 
     const bool uniform = f.norm_e == nullptr;
@@ -171,10 +172,14 @@ __attribute__((target("avx2"))) void cell_packed_avx2(const FieldView& f,
         const __m256d beam = load4_ps_pd(beam_p + k);
         const __m256d elev = load4_ps_pd(elev_p + k);
         const __m256d frac = _mm256_loadu_pd(frac_p + k);
-        const __m128i off0 = _mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(off0_p + k));
-        const __m128i off1 = _mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(off1_p + k));
+        // Angle-plane offsets: sector index x cell count, the same
+        // int32 product the row kernels form per step.
+        const __m128i off0 = _mm_mullo_epi32(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(sec0_p + k)),
+            cells_v);
+        const __m128i off1 = _mm_mullo_epi32(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(sec1_p + k)),
+            cells_v);
         const __m256d a0 =
             _mm256_cvtps_pd(_mm_i32gather_ps(angles_cell, off0, 4));
         const __m256d a1 =

@@ -89,8 +89,8 @@ PVFP_AVX512 void cell_row_avx512(const FieldView& f, int y, long s, int x0,
     const __m512d elev_v = _mm512_set1_pd(elev_f);
     const __m512d frac_v = _mm512_set1_pd(f.hor_frac[si]);
     const __m512d zero = _mm512_setzero_pd();
-    const float* a0p = f.angles + f.hor_off0[si] + ci0;
-    const float* a1p = f.angles + f.hor_off1[si] + ci0;
+    const float* a0p = f.angles + f.hor_sec0[si] * f.cells + ci0;
+    const float* a1p = f.angles + f.hor_sec1[si] * f.cells + ci0;
 
     if (uniform) {
         const __m512d add_v = _mm512_mul_pd(beam_v, _mm512_set1_pd(cosi_u));
@@ -157,8 +157,9 @@ PVFP_AVX512 void cell_packed_avx512(const FieldView& f, int x, int y,
     const float* se_p = f.p_sun_e + p0;
     const float* sn_p = f.p_sun_n + p0;
     const float* su_p = f.p_sun_u + p0;
-    const std::int32_t* off0_p = f.p_hor_off0 + p0;
-    const std::int32_t* off1_p = f.p_hor_off1 + p0;
+    const std::int32_t* sec0_p = f.p_hor_sec0 + p0;
+    const std::int32_t* sec1_p = f.p_hor_sec1 + p0;
+    const __m256i cells_v = _mm256_set1_epi32(f.cells);
     const double* frac_p = f.p_hor_frac + p0;
 
     const bool uniform = f.norm_e == nullptr;
@@ -184,8 +185,13 @@ PVFP_AVX512 void cell_packed_avx512(const FieldView& f, int x, int y,
         const __m512d beam = load8_ps_pd(m, beam_p + k);
         const __m512d elev = load8_ps_pd(m, elev_p + k);
         const __m512d frac = _mm512_maskz_loadu_pd(m, frac_p + k);
-        const __m256i off0 = _mm256_maskz_loadu_epi32(m, off0_p + k);
-        const __m256i off1 = _mm256_maskz_loadu_epi32(m, off1_p + k);
+        // Angle-plane offsets: sector index x cell count, the same
+        // int32 product the row kernels form per step (masked lanes
+        // load sector 0, offset 0, and are never gathered).
+        const __m256i off0 = _mm256_mullo_epi32(
+            _mm256_maskz_loadu_epi32(m, sec0_p + k), cells_v);
+        const __m256i off1 = _mm256_mullo_epi32(
+            _mm256_maskz_loadu_epi32(m, sec1_p + k), cells_v);
         const __m512d a0 = _mm512_cvtps_pd(
             _mm256_mmask_i32gather_ps(zero_ps, m, off0, angles_cell, 4));
         const __m512d a1 = _mm512_cvtps_pd(

@@ -39,8 +39,8 @@ void cell_row_scalar(const FieldView& f, int y, long s, int x0, int x1,
     const double beam = f.beam_eq[si];
     const double elev = elev_f;
     const double frac = f.hor_frac[si];
-    const float* a0p = f.angles + f.hor_off0[si] + ci0;
-    const float* a1p = f.angles + f.hor_off1[si] + ci0;
+    const float* a0p = f.angles + f.hor_sec0[si] * f.cells + ci0;
+    const float* a1p = f.angles + f.hor_sec1[si] * f.cells + ci0;
 
     if (f.norm_e != nullptr) {
         const float se = f.sun_e[si];
@@ -99,8 +99,8 @@ void cell_series_scalar(const FieldView& f, int x, int y, const long* steps,
                 static_cast<double>(f.reflected[si]) +
                 svf * static_cast<double>(f.sky_diffuse[si]);
             const double elev = f.sun_elevation[si];
-            const double a0 = angles_cell[f.hor_off0[si]];
-            const double a1 = angles_cell[f.hor_off1[si]];
+            const double a0 = angles_cell[f.hor_sec0[si] * f.cells];
+            const double a1 = angles_cell[f.hor_sec1[si] * f.cells];
             const double h = a0 + (a1 - a0) * f.hor_frac[si];
             const double cosi =
                 ne * f.sun_e[si] + nn * f.sun_n[si] + nu * f.sun_u[si];
@@ -118,8 +118,8 @@ void cell_series_scalar(const FieldView& f, int x, int y, const long* steps,
         const double base = static_cast<double>(f.reflected[si]) +
                             svf * static_cast<double>(f.sky_diffuse[si]);
         const double elev = f.sun_elevation[si];
-        const double a0 = angles_cell[f.hor_off0[si]];
-        const double a1 = angles_cell[f.hor_off1[si]];
+        const double a0 = angles_cell[f.hor_sec0[si] * f.cells];
+        const double a1 = angles_cell[f.hor_sec1[si] * f.cells];
         const double h = a0 + (a1 - a0) * f.hor_frac[si];
         const double cosi =
             f.plane_e * static_cast<double>(f.sun_e[si]) +
@@ -153,8 +153,9 @@ void cell_packed_scalar(const FieldView& f, int x, int y, long p0, long p1,
     const float* se_p = f.p_sun_e + p0;
     const float* sn_p = f.p_sun_n + p0;
     const float* su_p = f.p_sun_u + p0;
-    const std::int32_t* off0_p = f.p_hor_off0 + p0;
-    const std::int32_t* off1_p = f.p_hor_off1 + p0;
+    const std::int32_t* sec0_p = f.p_hor_sec0 + p0;
+    const std::int32_t* sec1_p = f.p_hor_sec1 + p0;
+    const std::int32_t cells = f.cells;
     const double* frac_p = f.p_hor_frac + p0;
 
     if (f.norm_e != nullptr) {
@@ -165,8 +166,8 @@ void cell_packed_scalar(const FieldView& f, int x, int y, long p0, long p1,
             const double base = static_cast<double>(refl_p[k]) +
                                 svf * static_cast<double>(sky_p[k]);
             const double elev = elev_p[k];
-            const double a0 = angles_cell[off0_p[k]];
-            const double a1 = angles_cell[off1_p[k]];
+            const double a0 = angles_cell[sec0_p[k] * cells];
+            const double a1 = angles_cell[sec1_p[k] * cells];
             const double h = a0 + (a1 - a0) * frac_p[k];
             const double cosi =
                 ne * se_p[k] + nn * sn_p[k] + nu * su_p[k];
@@ -183,8 +184,8 @@ void cell_packed_scalar(const FieldView& f, int x, int y, long p0, long p1,
         const double base = static_cast<double>(refl_p[k]) +
                             svf * static_cast<double>(sky_p[k]);
         const double elev = elev_p[k];
-        const double a0 = angles_cell[off0_p[k]];
-        const double a1 = angles_cell[off1_p[k]];
+        const double a0 = angles_cell[sec0_p[k] * cells];
+        const double a1 = angles_cell[sec1_p[k] * cells];
         const double h = a0 + (a1 - a0) * frac_p[k];
         const double cosi = f.plane_e * static_cast<double>(se_p[k]) +
                             f.plane_n * static_cast<double>(sn_p[k]) +

@@ -13,13 +13,16 @@ namespace {
 SharedSkyArtifact make_validated_artifact(const Location& location,
                                           const pvfp::TimeGrid& grid,
                                           std::vector<EnvSample> env,
-                                          SkyModel sky_model) {
+                                          SkyModel sky_model,
+                                          int azimuth_sectors) {
     check_arg(static_cast<long>(env.size()) == grid.total_steps(),
               "prepare_sky_artifact: env series length != time grid steps");
     for (const EnvSample& e : env) {
         check_arg(e.ghi >= 0.0 && e.dni >= 0.0 && e.dhi >= 0.0,
                   "prepare_sky_artifact: negative irradiance in env series");
     }
+    check_arg(azimuth_sectors >= 4,
+              "prepare_sky_artifact: need at least 4 azimuth sectors");
 
     SharedSkyArtifact sky;
     sky.location = location;
@@ -39,21 +42,99 @@ SharedSkyArtifact make_validated_artifact(const Location& location,
     return sky;
 }
 
+/// Round the double series into the kernels' float step planes and
+/// compact their daylight-packed twins.  Each step writes only its own
+/// slots, so the fixed chunk grid keeps the planes bitwise identical at
+/// any thread count.
+void build_step_planes(SharedSkyArtifact& sky, int sectors) {
+    SkyStepPlanes& p = sky.planes;
+    p.sectors = sectors;
+    const std::size_t n = sky.env.size();
+    p.beam_eq.resize(n);
+    p.temp_air.resize(n);
+    p.sun_azimuth.resize(n);
+    p.sun_elevation.resize(n);
+    p.sun_e.resize(n);
+    p.sun_n.resize(n);
+    p.sun_u.resize(n);
+    p.hor_sec0.resize(n);
+    p.hor_sec1.resize(n);
+    p.hor_frac.resize(n);
+
+    parallel_for(0, sky.steps(), 4096, [&](long sb, long se) {
+        for (long s = sb; s < se; ++s) {
+            const std::size_t si = static_cast<std::size_t>(s);
+            const EnvSample& e = sky.env[si];
+            p.sun_azimuth[si] = static_cast<float>(sky.sun_azimuth[si]);
+            p.sun_elevation[si] = static_cast<float>(sky.sun_elevation[si]);
+            p.temp_air[si] = static_cast<float>(e.temp_air_c);
+            p.sun_e[si] = static_cast<float>(sky.sun_e[si]);
+            p.sun_n[si] = static_cast<float>(sky.sun_n[si]);
+            p.sun_u[si] = static_cast<float>(sky.sun_u[si]);
+            p.beam_eq[si] = e.ghi > 0.0 || e.dhi > 0.0
+                                ? static_cast<float>(sky.beam_eq[si])
+                                : 0.0f;
+            // Horizon interpolation for this step's (float) sun azimuth
+            // — exactly the arithmetic of
+            // HorizonMap::horizon_at_unchecked, so the batch kernels
+            // reproduce the scalar lookup bit for bit.
+            const double pos =
+                wrap_two_pi(static_cast<double>(p.sun_azimuth[si])) /
+                kTwoPi * sectors;
+            const int s0 = static_cast<int>(pos) % sectors;
+            p.hor_sec0[si] = s0;
+            p.hor_sec1[si] = (s0 + 1) % sectors;
+            p.hor_frac[si] = pos - std::floor(pos);
+        }
+    });
+
+    // Daylight-packed twins: a stride-1 daylight sweep (the incremental
+    // evaluator's per-anchor series) maps to a contiguous packed run and
+    // reads these unit-stride with no gathers and no night lanes.
+    p.step_to_packed.assign(n, -1);
+    const std::size_t nd = static_cast<std::size_t>(
+        std::count(sky.daylight.begin(), sky.daylight.end(), 1));
+    p.p_beam_eq.resize(nd);
+    p.p_sun_elevation.resize(nd);
+    p.p_sun_e.resize(nd);
+    p.p_sun_n.resize(nd);
+    p.p_sun_u.resize(nd);
+    p.p_hor_sec0.resize(nd);
+    p.p_hor_sec1.resize(nd);
+    p.p_hor_frac.resize(nd);
+    p.packed_to_step.reserve(nd);
+    for (std::size_t si = 0; si < n; ++si) {
+        if (sky.daylight[si] == 0) continue;
+        const std::size_t k = p.packed_to_step.size();
+        p.step_to_packed[si] = static_cast<long>(k);
+        p.p_beam_eq[k] = p.beam_eq[si];
+        p.p_sun_elevation[k] = p.sun_elevation[si];
+        p.p_sun_e[k] = p.sun_e[si];
+        p.p_sun_n[k] = p.sun_n[si];
+        p.p_sun_u[k] = p.sun_u[si];
+        p.p_hor_sec0[k] = p.hor_sec0[si];
+        p.p_hor_sec1[k] = p.hor_sec1[si];
+        p.p_hor_frac[k] = p.hor_frac[si];
+        p.packed_to_step.push_back(static_cast<long>(si));
+    }
+}
+
 }  // namespace
 
 SharedSkyArtifact prepare_sky_artifact(const Location& location,
                                        const pvfp::TimeGrid& grid,
                                        std::vector<EnvSample> env,
-                                       SkyModel sky_model) {
-    SharedSkyArtifact sky =
-        make_validated_artifact(location, grid, std::move(env), sky_model);
+                                       SkyModel sky_model,
+                                       int azimuth_sectors) {
+    SharedSkyArtifact sky = make_validated_artifact(
+        location, grid, std::move(env), sky_model, azimuth_sectors);
     const bool hay = sky_model == SkyModel::HayDavies;
 
     // Per-day ephemeris tables: declination, equation of time, and the
     // extraterrestrial irradiance only change once per day, so the
-    // reference's per-step recomputation hoists here — with unchanged
+    // unbatched per-step recomputation hoists here — with unchanged
     // association (see DayGeometry), keeping every downstream bit equal
-    // to prepare_sky_artifact_reference.
+    // to the per-step sun_position loop.
     const long spd = grid.steps_per_day();
     const long days = grid.days();
     const double phi = deg2rad(location.latitude_deg);
@@ -78,12 +159,11 @@ SharedSkyArtifact prepare_sky_artifact(const Location& location,
         day_eo[di] = extraterrestrial_normal_irradiance(doy);
     }
 
-    // The per-step sweep splits into four passes per chunk: scalar libm
-    // trig of the hour angle, the SIMD geometry kernel, scalar libm
-    // angles + sun vector, and the SIMD transposition kernel.  Each step
-    // writes only its own slots, so the fixed chunk grid keeps the
-    // result bitwise-identical at any thread count — and the kernels
-    // keep it bitwise-identical at any SIMD level.
+    // The per-step sweep splits into four passes per chunk: libm trig
+    // of the hour angle, the geometry kernel, libm angles + sun vector,
+    // and the transposition kernel.  Each step writes only its own
+    // slots, so the fixed chunk grid keeps the result bitwise-identical
+    // at any thread count.
     parallel_for(0, grid.total_steps(), 512, [&](long sb, long se) {
         const std::size_t cn = static_cast<std::size_t>(se - sb);
         std::vector<double> cos_h(cn);
@@ -151,73 +231,15 @@ SharedSkyArtifact prepare_sky_artifact(const Location& location,
             r0 = r1;
         }
     });
-    return sky;
-}
-
-SharedSkyArtifact prepare_sky_artifact_reference(const Location& location,
-                                                 const pvfp::TimeGrid& grid,
-                                                 std::vector<EnvSample> env,
-                                                 SkyModel sky_model) {
-    SharedSkyArtifact sky =
-        make_validated_artifact(location, grid, std::move(env), sky_model);
-    const bool hay = sky_model == SkyModel::HayDavies;
-
-    // Per-step precompute (sun position + roof-independent transposition
-    // terms for each of the ~35,040 steps) parallelized over step chunks:
-    // each step writes only its own slots, so the fixed chunk grid keeps
-    // the result bitwise-identical at any thread count.
-    parallel_for(0, grid.total_steps(), 512, [&](long sb, long se) {
-    for (long s = sb; s < se; ++s) {
-        const std::size_t si = static_cast<std::size_t>(s);
-        const EnvSample& e = sky.env[si];
-        const int doy = grid.day_of_year(s);
-        const double hour = grid.hour_of_day(s);
-        const SunPosition sun = sun_position(location, doy, hour);
-        const bool daylight = sun.elevation_rad > 0.0;
-        sky.sun_azimuth[si] = sun.azimuth_rad;
-        sky.sun_elevation[si] = sun.elevation_rad;
-        sky.daylight[si] = daylight ? 1 : 0;
-        const double cos_el = std::cos(sun.elevation_rad);
-        sky.sun_e[si] = cos_el * std::sin(sun.azimuth_rad);
-        sky.sun_n[si] = cos_el * std::cos(sun.azimuth_rad);
-        sky.sun_u[si] = std::sin(sun.elevation_rad);
-
-        double beam_eq = 0.0;
-        double dhi_iso = 0.0;
-        if (e.ghi > 0.0 || e.dhi > 0.0) {
-            // Extraterrestrial normal irradiance feeds both the
-            // circumsolar share and the isotropic split under Hay-Davies.
-            double a = 0.0;
-            if (hay) {
-                a = std::clamp(e.dni / extraterrestrial_normal_irradiance(doy),
-                               0.0, 1.0);
-            }
-            // Normal-equivalent beam magnitude: DNI plus, for Hay-Davies,
-            // the circumsolar share of the diffuse (guarded near the
-            // horizon exactly like the transposition model).
-            if (daylight) {
-                beam_eq = e.dni;
-                if (hay && e.dhi > 0.0) {
-                    const double sin_el_guard =
-                        std::max(std::sin(sun.elevation_rad), 0.01745);
-                    beam_eq += e.dhi * a / sin_el_guard;
-                }
-            }
-            dhi_iso = e.dhi;
-            if (hay) dhi_iso = e.dhi * (1.0 - (daylight ? a : 0.0));
-        }
-        sky.beam_eq[si] = beam_eq;
-        sky.dhi_iso[si] = dhi_iso;
-    }
-    });
+    build_step_planes(sky, azimuth_sectors);
     return sky;
 }
 
 std::shared_ptr<const SharedSkyArtifact> make_shared_sky(
     const Location& location, const pvfp::TimeGrid& grid,
-    std::vector<EnvSample> env, SkyModel sky_model) {
-    return std::make_shared<const SharedSkyArtifact>(
-        prepare_sky_artifact(location, grid, std::move(env), sky_model));
+    std::vector<EnvSample> env, SkyModel sky_model, int azimuth_sectors) {
+    return std::make_shared<const SharedSkyArtifact>(prepare_sky_artifact(
+        location, grid, std::move(env), sky_model, azimuth_sectors));
 }
 
 }  // namespace pvfp::solar

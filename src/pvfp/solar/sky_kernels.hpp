@@ -3,25 +3,22 @@
 /// Internal elementwise kernels of the batched sky precompute
 /// (prepare_sky_artifact).
 ///
-/// The per-step sky prepare splits into scalar-libm passes (the
-/// trigonometry: hour-angle cos/sin, asin/atan2 of the sun vector —
-/// libm is not vectorizable under the bitwise contract) and two pure
-/// elementwise passes that are, implemented here with scalar/AVX2/
-/// AVX-512 twins dispatched at runtime like the irradiance kernels:
+/// The per-step sky prepare splits into libm passes (the trigonometry:
+/// hour-angle cos/sin, asin/atan2 of the sun vector) and two pure
+/// elementwise passes, implemented here:
 ///
 ///  - the *geometry* pass: sun-vector components from the per-day
 ///    ephemeris constants and the per-step hour-angle cos/sin;
 ///  - the *transposition* pass: normal-equivalent beam magnitude and
 ///    isotropic diffuse share from the env series.
 ///
-/// Bitwise contract: every twin computes the same IEEE operations in
-/// the same association as prepare_sky_artifact_reference's inline
-/// expressions (no FMA — the build sets -ffp-contract=off), and the
-/// branch structure is replicated with masks whose selected values
-/// match the scalar branches exactly, so the artifact is
-/// bitwise-identical at every SIMD level.
-/// tests/solar/test_sky_artifact pins this against the reference
-/// implementation across latitudes and sky models.
+/// Both compute the same IEEE operations in the same association as the
+/// unbatched per-step loop (sun_position plus the inline transposition
+/// block; no FMA — the build sets -ffp-contract=off), so the artifact is
+/// bitwise identical to it.  tests/solar/test_sky_artifact pins this
+/// against tests/oracles/sky_reference across latitudes and sky models.
+/// The stage runs once per site; AVX2 / AVX-512 twins of both passes
+/// measured 1.02x / 0.98x and were removed.
 
 #include <cstddef>
 #include <cstdint>
@@ -29,7 +26,7 @@
 namespace pvfp::solar::detail {
 
 /// Per-day ephemeris constants hoisted out of the step loop.  The
-/// reference computes, per step,
+/// unbatched loop computes, per step,
 ///   up    = sin(phi)*sin(delta) + (cos(phi)*cos(delta))*cos(h)
 ///   north = cos(phi)*sin(delta) - (sin(phi)*cos(delta))*cos(h)
 ///   east  = (-cos(delta))*sin(h)
@@ -48,22 +45,12 @@ struct DayGeometry {
 /// hour-angle cos/sin, produce the sun vector's up component clamped
 /// to [-1, 1] (ready for asin), and the unnormalized north/east
 /// components (ready for atan2).
-void sky_geometry_scalar(const double* cos_h, const double* sin_h,
-                         std::size_t n, const DayGeometry& day,
-                         double* up_clamped, double* north, double* east);
-void sky_geometry_avx2(const double* cos_h, const double* sin_h,
-                       std::size_t n, const DayGeometry& day,
-                       double* up_clamped, double* north, double* east);
-void sky_geometry_avx512(const double* cos_h, const double* sin_h,
-                         std::size_t n, const DayGeometry& day,
-                         double* up_clamped, double* north, double* east);
-/// Runtime-dispatched entry (pvfp::simd_level()).
 void sky_geometry(const double* cos_h, const double* sin_h, std::size_t n,
                   const DayGeometry& day, double* up_clamped, double* north,
                   double* east);
 
 /// Transposition pass over one same-day run of \p n steps: the
-/// reference's per-step beam_eq / dhi_iso computation —
+/// unbatched loop's per-step beam_eq / dhi_iso computation —
 ///   no input (ghi<=0 && dhi<=0):        beam_eq = dhi_iso = 0
 ///   a = hay ? clamp(dni/eo, 0, 1) : 0
 ///   beam_eq = daylight ? dni + [dhi>0 && hay] (dhi*a)/max(sin_el, 0.01745)
@@ -71,22 +58,6 @@ void sky_geometry(const double* cos_h, const double* sin_h, std::size_t n,
 ///   dhi_iso = hay ? dhi * (1 - (daylight ? a : 0)) : dhi
 /// with \p eo the day's extraterrestrial normal irradiance and
 /// \p daylight the per-step flag bytes.
-void sky_transposition_scalar(const double* ghi, const double* dni,
-                              const double* dhi, const double* sin_el,
-                              const std::uint8_t* daylight, std::size_t n,
-                              double eo, bool hay, double* beam_eq,
-                              double* dhi_iso);
-void sky_transposition_avx2(const double* ghi, const double* dni,
-                            const double* dhi, const double* sin_el,
-                            const std::uint8_t* daylight, std::size_t n,
-                            double eo, bool hay, double* beam_eq,
-                            double* dhi_iso);
-void sky_transposition_avx512(const double* ghi, const double* dni,
-                              const double* dhi, const double* sin_el,
-                              const std::uint8_t* daylight, std::size_t n,
-                              double eo, bool hay, double* beam_eq,
-                              double* dhi_iso);
-/// Runtime-dispatched entry (pvfp::simd_level()).
 void sky_transposition(const double* ghi, const double* dni,
                        const double* dhi, const double* sin_el,
                        const std::uint8_t* daylight, std::size_t n,

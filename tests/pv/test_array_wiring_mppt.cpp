@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "pvfp/pv/array.hpp"
 #include "pvfp/pv/mppt.hpp"
@@ -68,6 +70,33 @@ TEST(Aggregate, DarkPanelIsZero) {
     const PanelOperating panel = aggregate_panel(points, Topology{2, 2});
     EXPECT_DOUBLE_EQ(panel.power_w, 0.0);
     EXPECT_DOUBLE_EQ(panel.mismatch_loss_w, 0.0);
+}
+
+TEST(Aggregate, RefilledPanelMatchesFreshAggregate) {
+    // A caller-owned panel reused across steps and topologies carries
+    // nothing over from its previous fill.
+    std::vector<OperatingPoint> six(6, op(100.0, 24.0));
+    six[4] = op(10.0, 22.0);
+    std::vector<OperatingPoint> four(4, op(80.0, 20.0));
+    four[1] = op(25.0, 23.0);
+    PanelOperating panel;
+    aggregate_panel(six, Topology{2, 3}, panel);
+    for (const auto& [points, topo] :
+         {std::pair{four, Topology{2, 2}}, std::pair{six, Topology{3, 2}},
+          std::pair{four, Topology{4, 1}}}) {
+        aggregate_panel(points, topo, panel);
+        const PanelOperating fresh = aggregate_panel(points, topo);
+        EXPECT_EQ(panel.voltage_v, fresh.voltage_v);
+        EXPECT_EQ(panel.current_a, fresh.current_a);
+        EXPECT_EQ(panel.power_w, fresh.power_w);
+        EXPECT_EQ(panel.ideal_power_w, fresh.ideal_power_w);
+        EXPECT_EQ(panel.mismatch_loss_w, fresh.mismatch_loss_w);
+        ASSERT_EQ(panel.strings.size(), fresh.strings.size());
+        for (std::size_t j = 0; j < fresh.strings.size(); ++j) {
+            EXPECT_EQ(panel.strings[j].voltage_v, fresh.strings[j].voltage_v);
+            EXPECT_EQ(panel.strings[j].current_a, fresh.strings[j].current_a);
+        }
+    }
 }
 
 TEST(Aggregate, TopologyValidation) {

@@ -125,14 +125,21 @@ TEST(ResidentState, BudgetAccountingSumsResidentEntries) {
     const ServeCity city("rs_bytes");
     ResidentState state = city.make_state(city.fast_config());  // 512 MB
     std::size_t expected = 0;
-    for (long i = 0; i < 3; ++i)
-        expected += state.prepare(city.roof(i))->resident_bytes;
+    std::shared_ptr<const solar::SharedSkyArtifact> sky;
+    for (long i = 0; i < 3; ++i) {
+        const auto roof = state.prepare(city.roof(i));
+        expected += roof->resident_bytes;
+        sky = roof->config.shared_sky;
+    }
     const ResidentStats stats = state.stats();
     EXPECT_EQ(stats.entries, 3u);
     EXPECT_EQ(stats.evictions, 0u);
-    // resident_bytes = sum of entries + the (single-site) sky artifact.
-    EXPECT_GT(stats.resident_bytes, expected);
     EXPECT_EQ(stats.sky_artifacts, 1u);
+    // resident_bytes = sum of entries + the (single-site) sky artifact,
+    // whose step planes every roof reads and none counts again.
+    ASSERT_NE(sky, nullptr);
+    EXPECT_EQ(stats.sky_bytes, sky_artifact_bytes(*sky));
+    EXPECT_EQ(stats.resident_bytes, expected + sky_artifact_bytes(*sky));
 }
 
 TEST(ResidentState, IndexEditInvalidatesExactlyTheChangedRoof) {
@@ -321,10 +328,21 @@ TEST(ResidentState, EvictingARoofReleasesItsSiteSky) {
 TEST(ResidentState, HammerMixedPrepareInvalidateUnderContention) {
     // The TSan target: every path of the cache (hit, miss, join,
     // invalidate, evict) exercised from many threads at once.  The
-    // budget is sized so eviction fires throughout.
+    // budget is sized from measured roofs so eviction fires throughout:
+    // the site's sky plus three average roofs, of nine in rotation.
     const ServeCity city("rs_hammer");
+    std::size_t budget = 0;
+    {
+        ResidentState probe = city.make_state(city.fast_config());
+        std::size_t roof_bytes = 0;
+        for (long r = 0; r < city.registry.size(); ++r)
+            roof_bytes += probe.prepare(city.roof(r))->resident_bytes;
+        budget = probe.stats().sky_bytes +
+                 3 * roof_bytes / static_cast<std::size_t>(
+                                      city.registry.size());
+    }
     ServeConfig config = city.fast_config();
-    config.memory_budget_bytes = 6u << 20;  // a few roofs' worth
+    config.memory_budget_bytes = budget;
     ResidentState state = city.make_state(std::move(config));
 
     constexpr int kThreads = 8;
@@ -357,6 +375,7 @@ TEST(ResidentState, HammerMixedPrepareInvalidateUnderContention) {
     // from the surviving entries.
     const ResidentStats stats = state.stats();
     EXPECT_GE(stats.misses, 1u);
+    EXPECT_GE(stats.evictions, 1u);
     std::size_t entry_bytes = 0;
     std::set<std::string> seen;
     for (long r = 0; r < city.registry.size(); ++r) {

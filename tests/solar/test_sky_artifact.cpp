@@ -1,15 +1,18 @@
 /// \file test_sky_artifact.cpp
-/// The shared-sky batching contract: an IrradianceField built from a
-/// SharedSkyArtifact is bitwise identical to the self-contained
-/// constructor, one artifact serves many roofs, and the precompute is
-/// thread-count invariant.
+/// The shared-sky batching contract: the batched prepare matches the
+/// unbatched oracle bit for bit (series and step planes), an
+/// IrradianceField built from a SharedSkyArtifact is bitwise identical
+/// to the self-contained constructor, one artifact's step planes serve
+/// many roofs in place, and the precompute is thread-count invariant.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <string>
 #include <vector>
 
+#include "oracles/sky_reference.hpp"
 #include "pvfp/solar/irradiance.hpp"
 #include "pvfp/solar/sky_artifact.hpp"
 #include "pvfp/util/error.hpp"
@@ -31,9 +34,11 @@ geo::Raster shaded_dsm(int w = 20, int h = 12) {
     return dsm;
 }
 
+constexpr int kSectors = 24;
+
 geo::HorizonMap make_horizon(const geo::Raster& dsm) {
     geo::HorizonOptions hopt;
-    hopt.azimuth_sectors = 24;
+    hopt.azimuth_sectors = kSectors;
     hopt.max_distance = 8.0;
     return geo::HorizonMap(dsm, 0, 0, dsm.width(), dsm.height(), hopt);
 }
@@ -61,48 +66,81 @@ std::vector<SimdLevel> runnable_levels() {
     return levels;
 }
 
+/// Same length and the same bytes (so +0.0 vs -0.0 would differ).
+template <typename T>
+::testing::AssertionResult same_bits(const std::vector<T>& a,
+                                     const std::vector<T>& b) {
+    if (a.size() != b.size())
+        return ::testing::AssertionFailure()
+               << "sizes " << a.size() << " vs " << b.size();
+    for (std::size_t i = 0; i < a.size(); ++i)
+        if (std::memcmp(&a[i], &b[i], sizeof(T)) != 0)
+            return ::testing::AssertionFailure()
+                   << "first difference at " << i << ": " << a[i] << " vs "
+                   << b[i];
+    return ::testing::AssertionSuccess();
+}
+
 void expect_artifacts_bitwise_equal(const SharedSkyArtifact& a,
                                     const SharedSkyArtifact& b,
-                                    const char* what) {
-    ASSERT_EQ(a.steps(), b.steps()) << what;
-    for (long s = 0; s < a.steps(); ++s) {
-        const std::size_t i = static_cast<std::size_t>(s);
-        ASSERT_EQ(a.sun_azimuth[i], b.sun_azimuth[i]) << what << " step " << s;
-        ASSERT_EQ(a.sun_elevation[i], b.sun_elevation[i])
-            << what << " step " << s;
-        ASSERT_EQ(a.sun_e[i], b.sun_e[i]) << what << " step " << s;
-        ASSERT_EQ(a.sun_n[i], b.sun_n[i]) << what << " step " << s;
-        ASSERT_EQ(a.sun_u[i], b.sun_u[i]) << what << " step " << s;
-        ASSERT_EQ(a.beam_eq[i], b.beam_eq[i]) << what << " step " << s;
-        ASSERT_EQ(a.dhi_iso[i], b.dhi_iso[i]) << what << " step " << s;
-        ASSERT_EQ(a.daylight[i], b.daylight[i]) << what << " step " << s;
-    }
+                                    const std::string& what) {
+    EXPECT_TRUE(same_bits(a.sun_azimuth, b.sun_azimuth)) << what;
+    EXPECT_TRUE(same_bits(a.sun_elevation, b.sun_elevation)) << what;
+    EXPECT_TRUE(same_bits(a.sun_e, b.sun_e)) << what;
+    EXPECT_TRUE(same_bits(a.sun_n, b.sun_n)) << what;
+    EXPECT_TRUE(same_bits(a.sun_u, b.sun_u)) << what;
+    EXPECT_TRUE(same_bits(a.beam_eq, b.beam_eq)) << what;
+    EXPECT_TRUE(same_bits(a.dhi_iso, b.dhi_iso)) << what;
+    EXPECT_TRUE(same_bits(a.daylight, b.daylight)) << what;
+    const SkyStepPlanes& p = a.planes;
+    const SkyStepPlanes& q = b.planes;
+    EXPECT_EQ(p.sectors, q.sectors) << what;
+    EXPECT_TRUE(same_bits(p.beam_eq, q.beam_eq)) << what << " planes";
+    EXPECT_TRUE(same_bits(p.temp_air, q.temp_air)) << what << " planes";
+    EXPECT_TRUE(same_bits(p.sun_azimuth, q.sun_azimuth)) << what;
+    EXPECT_TRUE(same_bits(p.sun_elevation, q.sun_elevation)) << what;
+    EXPECT_TRUE(same_bits(p.sun_e, q.sun_e)) << what << " planes";
+    EXPECT_TRUE(same_bits(p.sun_n, q.sun_n)) << what << " planes";
+    EXPECT_TRUE(same_bits(p.sun_u, q.sun_u)) << what << " planes";
+    EXPECT_TRUE(same_bits(p.hor_sec0, q.hor_sec0)) << what;
+    EXPECT_TRUE(same_bits(p.hor_sec1, q.hor_sec1)) << what;
+    EXPECT_TRUE(same_bits(p.hor_frac, q.hor_frac)) << what;
+    EXPECT_TRUE(same_bits(p.p_beam_eq, q.p_beam_eq)) << what;
+    EXPECT_TRUE(same_bits(p.p_sun_elevation, q.p_sun_elevation)) << what;
+    EXPECT_TRUE(same_bits(p.p_sun_e, q.p_sun_e)) << what;
+    EXPECT_TRUE(same_bits(p.p_sun_n, q.p_sun_n)) << what;
+    EXPECT_TRUE(same_bits(p.p_sun_u, q.p_sun_u)) << what;
+    EXPECT_TRUE(same_bits(p.p_hor_sec0, q.p_hor_sec0)) << what;
+    EXPECT_TRUE(same_bits(p.p_hor_sec1, q.p_hor_sec1)) << what;
+    EXPECT_TRUE(same_bits(p.p_hor_frac, q.p_hor_frac)) << what;
+    EXPECT_TRUE(same_bits(p.packed_to_step, q.packed_to_step)) << what;
+    EXPECT_TRUE(same_bits(p.step_to_packed, q.step_to_packed)) << what;
 }
 
 TEST(SkyArtifact, BatchedPrepareMatchesReferenceBitwise) {
-    // The batched prepare (per-day hoisting + SIMD geometry/transposition
-    // kernels) must reproduce the unbatched reference loop bit for bit at
-    // every SIMD level, across hemispheres (polar-night/midnight-sun
-    // latitudes included) and both sky models.
+    // The batched prepare (per-day hoisting, elementwise geometry and
+    // transposition passes, parallel plane build) must reproduce the
+    // unbatched per-step oracle bit for bit, series and step planes,
+    // across hemispheres (polar-night/midnight-sun latitudes included),
+    // both sky models and sector counts that do and do not divide 360.
     const TimeGrid grid = coarse_grid(12);
     const auto env = varied_weather(grid);
     for (const double lat : {-35.0, 0.0, 45.07, 68.5}) {
         for (const SkyModel model :
              {SkyModel::HayDavies, SkyModel::Isotropic}) {
-            Location loc;
-            loc.latitude_deg = lat;
-            const SharedSkyArtifact ref =
-                prepare_sky_artifact_reference(loc, grid, env, model);
-            for (const SimdLevel lvl : runnable_levels()) {
-                set_simd_level(lvl);
+            for (const int sectors : {7, kSectors, 72}) {
+                Location loc;
+                loc.latitude_deg = lat;
+                const SharedSkyArtifact ref =
+                    oracles::prepare_sky_artifact_reference(loc, grid, env,
+                                                            model, sectors);
                 const SharedSkyArtifact batched =
-                    prepare_sky_artifact(loc, grid, env, model);
-                set_simd_level_auto();
-                const std::string what =
-                    std::string("lat ") + std::to_string(lat) + " model " +
-                    (model == SkyModel::HayDavies ? "hay" : "iso") + " " +
-                    simd_level_name(lvl);
-                expect_artifacts_bitwise_equal(ref, batched, what.c_str());
+                    prepare_sky_artifact(loc, grid, env, model, sectors);
+                expect_artifacts_bitwise_equal(
+                    ref, batched,
+                    "lat " + std::to_string(lat) + " model " +
+                        (model == SkyModel::HayDavies ? "hay" : "iso") +
+                        " sectors " + std::to_string(sectors));
             }
         }
     }
@@ -117,7 +155,8 @@ TEST(SkyArtifact, FieldFromArtifactIsBitwiseIdentical) {
     const IrradianceField self(make_horizon(dsm), env, grid,
                                deg2rad(26.0), deg2rad(180.0), config);
     const auto sky =
-        make_shared_sky(config.location, grid, env, config.sky_model);
+        make_shared_sky(config.location, grid, env, config.sky_model,
+                        kSectors);
     const IrradianceField shared(make_horizon(dsm), sky, deg2rad(26.0),
                                  deg2rad(180.0), config);
 
@@ -141,7 +180,8 @@ TEST(SkyArtifact, OneArtifactServesManyRoofOrientations) {
     const geo::Raster dsm = shaded_dsm();
     const FieldConfig config;
     const auto sky =
-        make_shared_sky(config.location, grid, env, config.sky_model);
+        make_shared_sky(config.location, grid, env, config.sky_model,
+                        kSectors);
 
     for (const auto& [tilt, azimuth] :
          {std::pair{10.0, 150.0}, std::pair{26.0, 180.0},
@@ -169,7 +209,8 @@ TEST(SkyArtifact, IsotropicSkyModelMatchesToo) {
     const IrradianceField self(make_horizon(dsm), env, grid,
                                deg2rad(26.0), deg2rad(180.0), config);
     const auto sky =
-        make_shared_sky(config.location, grid, env, config.sky_model);
+        make_shared_sky(config.location, grid, env, config.sky_model,
+                        kSectors);
     const IrradianceField shared(make_horizon(dsm), sky, deg2rad(26.0),
                                  deg2rad(180.0), config);
     for (long s = 0; s < self.steps(); ++s)
@@ -186,23 +227,101 @@ TEST(SkyArtifact, PrecomputeIsThreadCountInvariant) {
 
     set_thread_count(1);
     const SharedSkyArtifact one = prepare_sky_artifact(
-        config.location, grid, env, config.sky_model);
+        config.location, grid, env, config.sky_model, kSectors);
     set_thread_count(8);
     const SharedSkyArtifact eight = prepare_sky_artifact(
-        config.location, grid, env, config.sky_model);
+        config.location, grid, env, config.sky_model, kSectors);
     set_thread_count(0);
+    expect_artifacts_bitwise_equal(one, eight, "1 vs 8 threads");
+}
 
-    ASSERT_EQ(one.steps(), eight.steps());
-    for (long s = 0; s < one.steps(); ++s) {
-        const std::size_t i = static_cast<std::size_t>(s);
-        ASSERT_EQ(one.sun_azimuth[i], eight.sun_azimuth[i]);
-        ASSERT_EQ(one.sun_elevation[i], eight.sun_elevation[i]);
-        ASSERT_EQ(one.sun_e[i], eight.sun_e[i]);
-        ASSERT_EQ(one.sun_n[i], eight.sun_n[i]);
-        ASSERT_EQ(one.sun_u[i], eight.sun_u[i]);
-        ASSERT_EQ(one.beam_eq[i], eight.beam_eq[i]);
-        ASSERT_EQ(one.dhi_iso[i], eight.dhi_iso[i]);
-        ASSERT_EQ(one.daylight[i], eight.daylight[i]);
+TEST(SkyArtifact, FieldsShareTheSitePlanesAndStayExact) {
+    // Two roofs of one site at different tilts read the artifact's step
+    // planes in place (same pointers) and own only their tilt-dependent
+    // planes; every batched entry point still matches the per-cell
+    // scalar reference bit for bit at every runnable SIMD level.
+    const TimeGrid grid = coarse_grid(6);
+    const auto env = varied_weather(grid);
+    const geo::Raster dsm = shaded_dsm();
+    const FieldConfig config;
+    const auto sky = make_shared_sky(config.location, grid, env,
+                                     config.sky_model, kSectors);
+    const IrradianceField flat(make_horizon(dsm), sky, deg2rad(10.0),
+                               deg2rad(150.0), config);
+    const IrradianceField steep(
+        make_horizon(dsm), sky, deg2rad(35.0), deg2rad(225.0), config,
+        geo::NormalMap::from_dsm(dsm, 0, 0, dsm.width(), dsm.height()));
+
+    const detail::FieldView a = flat.view();
+    const detail::FieldView b = steep.view();
+    const SkyStepPlanes& p = sky->planes;
+    for (const detail::FieldView& v : {a, b}) {
+        EXPECT_EQ(v.beam_eq, p.beam_eq.data());
+        EXPECT_EQ(v.sun_elevation, p.sun_elevation.data());
+        EXPECT_EQ(v.sun_e, p.sun_e.data());
+        EXPECT_EQ(v.sun_n, p.sun_n.data());
+        EXPECT_EQ(v.sun_u, p.sun_u.data());
+        EXPECT_EQ(v.hor_sec0, p.hor_sec0.data());
+        EXPECT_EQ(v.hor_sec1, p.hor_sec1.data());
+        EXPECT_EQ(v.hor_frac, p.hor_frac.data());
+        EXPECT_EQ(v.p_beam_eq, p.p_beam_eq.data());
+        EXPECT_EQ(v.p_sun_elevation, p.p_sun_elevation.data());
+        EXPECT_EQ(v.p_sun_e, p.p_sun_e.data());
+        EXPECT_EQ(v.p_sun_n, p.p_sun_n.data());
+        EXPECT_EQ(v.p_sun_u, p.p_sun_u.data());
+        EXPECT_EQ(v.p_hor_sec0, p.p_hor_sec0.data());
+        EXPECT_EQ(v.p_hor_sec1, p.p_hor_sec1.data());
+        EXPECT_EQ(v.p_hor_frac, p.p_hor_frac.data());
+    }
+    EXPECT_EQ(flat.packed_to_step().data(), p.packed_to_step.data());
+    EXPECT_EQ(steep.packed_to_step().data(), p.packed_to_step.data());
+    // The tilt-dependent planes are each roof's own.
+    EXPECT_NE(a.sky_diffuse, b.sky_diffuse);
+    EXPECT_NE(a.reflected, b.reflected);
+    EXPECT_NE(a.p_sky_diffuse, b.p_sky_diffuse);
+    EXPECT_NE(a.p_reflected, b.p_reflected);
+
+    std::vector<long> all_steps(static_cast<std::size_t>(flat.steps()));
+    for (long s = 0; s < flat.steps(); ++s)
+        all_steps[static_cast<std::size_t>(s)] = s;
+    const std::span<const long> daylight = flat.packed_to_step();
+    ASSERT_GT(daylight.size(), 0u);
+    for (const IrradianceField* field : {&flat, &steep}) {
+        const int w = field->width();
+        for (const SimdLevel lvl : runnable_levels()) {
+            set_simd_level(lvl);
+            const std::string what =
+                std::string(field == &flat ? "flat " : "steep ") +
+                simd_level_name(lvl);
+            std::vector<double> row(static_cast<std::size_t>(w));
+            for (long s = 0; s < field->steps(); ++s)
+                for (int y = 0; y < field->height(); ++y) {
+                    field->cell_irradiance_row(y, s, 0, w, row.data());
+                    for (int x = 0; x < w; ++x)
+                        ASSERT_EQ(row[static_cast<std::size_t>(x)],
+                                  field->cell_irradiance_unchecked(x, y, s))
+                            << what << " row y " << y << " step " << s;
+                }
+            std::vector<double> series(all_steps.size());
+            std::vector<double> packed(daylight.size());
+            for (int y = 0; y < field->height(); ++y)
+                for (int x = 0; x < w; ++x) {
+                    field->cell_irradiance_series(x, y, all_steps,
+                                                  series.data());
+                    field->cell_irradiance_packed(
+                        x, y, 0, static_cast<long>(daylight.size()),
+                        packed.data());
+                    for (long s = 0; s < field->steps(); ++s)
+                        ASSERT_EQ(series[static_cast<std::size_t>(s)],
+                                  field->cell_irradiance_unchecked(x, y, s))
+                            << what << " series (" << x << "," << y << ")";
+                    for (std::size_t k = 0; k < daylight.size(); ++k)
+                        ASSERT_EQ(packed[k], field->cell_irradiance_unchecked(
+                                                 x, y, daylight[k]))
+                            << what << " packed (" << x << "," << y << ")";
+                }
+            set_simd_level_auto();
+        }
     }
 }
 
@@ -232,7 +351,7 @@ TEST(SkyArtifact, Validation) {
 
     const auto sky = make_shared_sky(config.location, grid,
                                      constant_weather(grid),
-                                     config.sky_model);
+                                     config.sky_model, kSectors);
 
     // Mismatched location.
     FieldConfig other_site = config;
@@ -246,6 +365,19 @@ TEST(SkyArtifact, Validation) {
     other_model.sky_model = SkyModel::Isotropic;
     EXPECT_THROW(IrradianceField(make_horizon(dsm), sky, 0.3, kPi,
                                  other_model),
+                 InvalidArgument);
+    // An artifact built for another horizon sector count.
+    const auto other_sectors =
+        make_shared_sky(config.location, grid, constant_weather(grid),
+                        config.sky_model, kSectors * 2);
+    EXPECT_THROW(IrradianceField(make_horizon(dsm), other_sectors, 0.3, kPi,
+                                 config),
+                 InvalidArgument);
+
+    // Too few sectors to build planes for.
+    EXPECT_THROW(prepare_sky_artifact(config.location, grid,
+                                      constant_weather(grid),
+                                      config.sky_model, 3),
                  InvalidArgument);
 }
 
