@@ -277,7 +277,7 @@ BENCHMARK(BM_AnchorSeriesKernel)->Arg(0);
 
 /// All daylight steps of the toy field at stride 1 — the realistic
 /// (≈50% daylight) per-anchor series workload of the incremental
-/// evaluator, contiguous in the packed index.
+/// evaluator.
 const std::vector<long>& toy_daylight_steps() {
     static const std::vector<long> steps = [] {
         const auto& field = toy_prepared().field;
@@ -289,10 +289,9 @@ const std::vector<long>& toy_daylight_steps() {
     return steps;
 }
 
-/// The pre-packing gather path on the full daylight series: the
-/// (scalar) series kernel indexing the step planes through the per-step
-/// index list, night gaps and all (what cell_irradiance_series did for
-/// this workload before the daylight-packed planes landed).
+/// The stride-1 series leg on the full daylight series: the (scalar)
+/// series kernel cell_irradiance_series runs at every SIMD level,
+/// indexing the step planes through the per-step index list.
 void BM_DaylightSeriesGather(benchmark::State& state) {
     const auto& field = toy_prepared().field;
     const auto& steps = toy_daylight_steps();
@@ -310,26 +309,6 @@ void BM_DaylightSeriesGather(benchmark::State& state) {
                             static_cast<long>(steps.size()));
 }
 BENCHMARK(BM_DaylightSeriesGather)->Arg(0);
-
-/// The same workload through the public series entry, which detects the
-/// contiguous daylight run and takes the unit-stride packed kernel.
-void BM_DaylightSeriesPacked(benchmark::State& state) {
-    if (!apply_simd_arg(state)) return;
-    const auto& field = toy_prepared().field;
-    const auto& steps = toy_daylight_steps();
-    std::vector<double> out(steps.size());
-    int x = 0;
-    for (auto _ : state) {
-        field.cell_irradiance_series(x, 1, steps, out.data());
-        benchmark::DoNotOptimize(out.data());
-        benchmark::ClobberMemory();
-        x = (x + 1) % field.width();
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<long>(steps.size()));
-    set_simd_level_auto();
-}
-BENCHMARK(BM_DaylightSeriesPacked)->Arg(0)->Arg(1)->Arg(2);
 
 /// Year of 15-minute weather for the shared-sky prepare benches (the
 /// pvfp_serve cold-start workload shape).

@@ -69,12 +69,6 @@ for base, kernel, label in [
      "row kernel (avx512) vs per-cell scalar"),
     ("BM_IrradianceSeriesScalarCells", "BM_IrradianceSeriesKernel/0",
      "series kernel (scalar batch) vs per-cell scalar"),
-    ("BM_DaylightSeriesGather/0", "BM_DaylightSeriesPacked/0",
-     "daylight series packed-vs-gather (scalar)"),
-    ("BM_DaylightSeriesGather/0", "BM_DaylightSeriesPacked/1",
-     "daylight series packed (avx2) vs gather (scalar)"),
-    ("BM_DaylightSeriesGather/0", "BM_DaylightSeriesPacked/2",
-     "daylight series packed (avx512) vs gather (scalar)"),
     ("BM_FootprintMaskPerCell/10000", "BM_FootprintMaskScanline/10000",
      "footprint mask scanline-vs-per-cell (10^4 vertices)"),
     ("BM_HorizonMapBatched/0", "BM_HorizonMapBatched/1",

@@ -66,11 +66,10 @@ std::size_t prepared_scenario_bytes(const core::PreparedScenario& prepared) {
     bytes += static_cast<std::size_t>(horizon.cell_count()) * 3 *
              sizeof(float);
     // The field's own step planes: the tilt-dependent sky-diffuse and
-    // reflected floats per step and their daylight-packed twins.  Every
-    // other step plane belongs to the site's sky artifact.
-    bytes += static_cast<std::size_t>(prepared.field.steps() +
-                                      prepared.field.packed_steps()) *
-             2 * sizeof(float);
+    // reflected floats per step.  Every other step plane belongs to the
+    // site's sky artifact.
+    bytes += static_cast<std::size_t>(prepared.field.steps()) * 2 *
+             sizeof(float);
     // Suitability, G percentile, T percentile grids.
     bytes += (prepared.suitability.suitability.size() +
               prepared.suitability.g_percentile.size() +
@@ -85,13 +84,7 @@ std::size_t sky_artifact_bytes(const solar::SharedSkyArtifact& artifact) {
         bytes += v.size() * sizeof(v[0]);
     };
     add(artifact.env);
-    add(artifact.sun_azimuth);
-    add(artifact.sun_elevation);
     add(artifact.daylight);
-    add(artifact.sun_e);
-    add(artifact.sun_n);
-    add(artifact.sun_u);
-    add(artifact.beam_eq);
     add(artifact.dhi_iso);
     // The kernels' float step planes, shared by every roof of the site.
     const solar::SkyStepPlanes& p = artifact.planes;
@@ -105,16 +98,6 @@ std::size_t sky_artifact_bytes(const solar::SharedSkyArtifact& artifact) {
     add(p.hor_sec0);
     add(p.hor_sec1);
     add(p.hor_frac);
-    add(p.p_beam_eq);
-    add(p.p_sun_elevation);
-    add(p.p_sun_e);
-    add(p.p_sun_n);
-    add(p.p_sun_u);
-    add(p.p_hor_sec0);
-    add(p.p_hor_sec1);
-    add(p.p_hor_frac);
-    add(p.packed_to_step);
-    add(p.step_to_packed);
     return bytes;
 }
 

@@ -182,8 +182,9 @@ private:
 /// the site's sky artifact; exposed for the eviction tests.
 std::size_t prepared_scenario_bytes(const core::PreparedScenario& prepared);
 
-/// Bytes of one shared sky artifact: its double series and the step
-/// planes every roof of the site reads.
+/// Bytes of one shared sky artifact: its env series, daylight flags and
+/// isotropic diffuse share, and the step planes every roof of the site
+/// reads.
 std::size_t sky_artifact_bytes(const solar::SharedSkyArtifact& artifact);
 
 /// FNV-1a content hash of a registry record under \p build — the

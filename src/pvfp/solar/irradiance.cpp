@@ -8,7 +8,6 @@
 #include "pvfp/solar/irradiance_kernels.hpp"
 #include "pvfp/util/error.hpp"
 #include "pvfp/util/parallel.hpp"
-#include "pvfp/util/simd.hpp"
 
 namespace pvfp::solar {
 
@@ -108,16 +107,6 @@ void IrradianceField::init(std::shared_ptr<const SharedSkyArtifact> sky) {
             reflected_[si] = reflected_f;
         }
     });
-
-    // Daylight-packed twins of the two roof planes (bitwise copies).
-    const std::vector<long>& packed = a.planes.packed_to_step;
-    p_sky_diffuse_.resize(packed.size());
-    p_reflected_.resize(packed.size());
-    for (std::size_t p = 0; p < packed.size(); ++p) {
-        const std::size_t si = static_cast<std::size_t>(packed[p]);
-        p_sky_diffuse_[p] = sky_diffuse_[si];
-        p_reflected_[p] = reflected_[si];
-    }
 }
 
 double IrradianceField::cell_irradiance(int x, int y, long s) const {
@@ -166,16 +155,6 @@ detail::FieldView IrradianceField::view() const {
     v.hor_sec0 = p.hor_sec0.data();
     v.hor_sec1 = p.hor_sec1.data();
     v.hor_frac = p.hor_frac.data();
-    v.p_beam_eq = p.p_beam_eq.data();
-    v.p_sky_diffuse = p_sky_diffuse_.data();
-    v.p_reflected = p_reflected_.data();
-    v.p_sun_elevation = p.p_sun_elevation.data();
-    v.p_sun_e = p.p_sun_e.data();
-    v.p_sun_n = p.p_sun_n.data();
-    v.p_sun_u = p.p_sun_u.data();
-    v.p_hor_sec0 = p.p_hor_sec0.data();
-    v.p_hor_sec1 = p.p_hor_sec1.data();
-    v.p_hor_frac = p.p_hor_frac.data();
     v.angles = horizon_.angles_data();
     v.svf = horizon_.svf_data();
     if (has_normals_) {
@@ -217,59 +196,10 @@ void IrradianceField::cell_irradiance_series_unchecked(
     int x, int y, std::span<const long> steps, double* out) const {
     assert(x >= 0 && x < width() && y >= 0 && y < height());
     if (steps.empty()) return;
-    // Packed fast path: when the step span is a contiguous daylight run
-    // (every daylight step between steps.front() and steps.back(), in
-    // order — what the incremental evaluator's stride-1 series builds
-    // produce), sweep the packed planes unit-stride instead of
-    // gathering.  The O(n) detection scan is a table walk, far cheaper
-    // than the gathers it replaces; any mismatch (night step first,
-    // strides, scrambled order) falls back to the gather kernel.
-    const std::vector<long>& step_to_packed = sky_->planes.step_to_packed;
-    const long p0 = step_to_packed[static_cast<std::size_t>(steps[0])];
-    if (p0 >= 0) {
-        bool contiguous = true;
-        for (std::size_t k = 1; k < steps.size(); ++k) {
-            if (step_to_packed[static_cast<std::size_t>(steps[k])] !=
-                p0 + static_cast<long>(k)) {
-                contiguous = false;
-                break;
-            }
-        }
-        if (contiguous) {
-            cell_irradiance_packed_unchecked(
-                x, y, p0, p0 + static_cast<long>(steps.size()), out);
-            return;
-        }
-    }
     // Scalar at every level: gathered AVX2 / AVX-512 twins measured only
     // 1.03-1.09x over this loop, below the 1.5x a SIMD twin must pay.
     detail::cell_series_scalar(view(), x, y, steps.data(), steps.size(),
                                out);
-}
-
-void IrradianceField::cell_irradiance_packed(int x, int y, long p0, long p1,
-                                             double* out) const {
-    check_arg(x >= 0 && x < width() && y >= 0 && y < height(),
-              "IrradianceField: cell out of range");
-    check_arg(p0 >= 0 && p0 <= p1 && p1 <= packed_steps(),
-              "IrradianceField: packed range out of range");
-    cell_irradiance_packed_unchecked(x, y, p0, p1, out);
-}
-
-void IrradianceField::cell_irradiance_packed_unchecked(int x, int y,
-                                                       long p0, long p1,
-                                                       double* out) const {
-    assert(x >= 0 && x < width() && y >= 0 && y < height());
-    assert(p0 >= 0 && p0 <= p1 && p1 <= packed_steps());
-    if (p0 == p1) return;
-    const detail::FieldView v = view();
-    const SimdLevel lvl = simd_level();
-    if (lvl == SimdLevel::Avx512 && detail::avx512_kernels_compiled())
-        detail::cell_packed_avx512(v, x, y, p0, p1, out);
-    else if (lvl != SimdLevel::Scalar && detail::avx2_kernels_compiled())
-        detail::cell_packed_avx2(v, x, y, p0, p1, out);
-    else
-        detail::cell_packed_scalar(v, x, y, p0, p1, out);
 }
 
 double IrradianceField::cell_module_temperature(int x, int y, long s) const {

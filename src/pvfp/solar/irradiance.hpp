@@ -28,26 +28,16 @@
 /// floorplan evaluation run step-major over row runs); the gathered
 /// series kernel is scalar only.
 ///
-/// The per-step planes additionally carry *daylight-packed* twins: the
-/// same quantities compacted over daylight steps only, in step order.
-/// cell_irradiance_series detects contiguous daylight runs (the
-/// stride-1 per-anchor series of the IncrementalEvaluator) and sweeps
-/// the packed planes unit-stride — no gathers, no night lanes — via
-/// cell_irradiance_packed; packed_to_step()/packed_index() map between
-/// the two step domains.
-///
 /// Memory model.  Every step plane except the two tilt-dependent ones
 /// belongs to the site: beam, air temperature, sun angles and vector,
-/// daylight flags, the horizon-sector indices and lerp fraction, their
-/// packed twins and the index maps live once in the SharedSkyArtifact
-/// (SkyStepPlanes), which every field built on it references by
-/// shared_ptr.  A field owns only its window's horizon and normal planes
-/// plus the in-plane sky-diffuse and ground-reflected planes and their
-/// packed twins: 8 bytes per step and 8 per daylight step, about 1.3 MB
-/// on a 5-minute year.  The kernels address a cell's horizon angles as
+/// daylight flags, the horizon-sector indices and lerp fraction live
+/// once in the SharedSkyArtifact (SkyStepPlanes), which every field
+/// built on it references by shared_ptr.  A field owns only its
+/// window's horizon and normal planes plus the in-plane sky-diffuse and
+/// ground-reflected planes: 8 bytes per step, about 0.84 MB on a
+/// 5-minute year.  The kernels address a cell's horizon angles as
 /// sector index x the window's cell count + cell, formed in int32 per
-/// step (row kernels) or per vector of steps (packed kernels), the same
-/// offsets a per-field offset plane would hold.
+/// step, the same offsets a per-field offset plane would hold.
 
 #include <cassert>
 #include <cstdint>
@@ -82,7 +72,8 @@ namespace detail {
 /// and SIMD batch kernels (irradiance_kernels.hpp).  Pointers stay valid
 /// for the lifetime of the owning IrradianceField.
 struct FieldView {
-    // Step-indexed planes (one entry per time step).
+    // Step-indexed planes (one entry per time step).  All but
+    // sky_diffuse and reflected are the site's shared SkyStepPlanes.
     const float* beam_eq = nullptr;
     const float* sky_diffuse = nullptr;
     const float* reflected = nullptr;
@@ -96,23 +87,6 @@ struct FieldView {
     const std::int32_t* hor_sec0 = nullptr;
     const std::int32_t* hor_sec1 = nullptr;
     const double* hor_frac = nullptr;
-    // Daylight-packed step planes: the same per-step quantities
-    // compacted over daylight steps only, in step order, so stride-1
-    // daylight sweeps read them unit-stride with no gathers and no
-    // night lanes.  Values are bitwise copies of the step planes above
-    // (the packed kernels recompute nothing).  All step planes but
-    // sky_diffuse / reflected and their twins are the site's shared
-    // SkyStepPlanes.
-    const float* p_beam_eq = nullptr;
-    const float* p_sky_diffuse = nullptr;
-    const float* p_reflected = nullptr;
-    const float* p_sun_elevation = nullptr;
-    const float* p_sun_e = nullptr;
-    const float* p_sun_n = nullptr;
-    const float* p_sun_u = nullptr;
-    const std::int32_t* p_hor_sec0 = nullptr;
-    const std::int32_t* p_hor_sec1 = nullptr;
-    const double* p_hor_frac = nullptr;
     // Cell-indexed planes (row-major over the window).
     const float* angles = nullptr;  ///< sector-major horizon planes
     const float* svf = nullptr;
@@ -177,22 +151,6 @@ public:
         return sky_->daylight[static_cast<std::size_t>(s)] != 0;
     }
 
-    /// Number of daylight steps — the length of the packed step planes.
-    long packed_steps() const {
-        return static_cast<long>(sky_->planes.packed_to_step.size());
-    }
-
-    /// Original step index of packed index \p p (ascending in p).
-    std::span<const long> packed_to_step() const {
-        return sky_->planes.packed_to_step;
-    }
-
-    /// Packed index of step \p s, or -1 when \p s is a night step.
-    long packed_index(long s) const {
-        check_step(s);
-        return sky_->planes.step_to_packed[static_cast<std::size_t>(s)];
-    }
-
     /// Sun position at step \p s.
     SunPosition sun(long s) const {
         check_step(s);
@@ -233,9 +191,8 @@ public:
     /// steps[k].  Bitwise identical to the scalar loop at any SIMD
     /// level; validates the cell and every step once (throws
     /// InvalidArgument).  This is the fixed-cell path of the
-    /// IncrementalEvaluator's per-anchor series build.  Gathered steps
-    /// run the scalar kernel at every SIMD level; contiguous daylight
-    /// runs take the packed kernel and its SIMD tiers.
+    /// IncrementalEvaluator's per-anchor series build.  It runs the
+    /// scalar kernel at every SIMD level.
     void cell_irradiance_series(int x, int y, std::span<const long> steps,
                                 double* out) const;
 
@@ -247,24 +204,6 @@ public:
     /// steps[k] in [0, steps()).
     void cell_irradiance_series_unchecked(int x, int y,
                                           std::span<const long> steps,
-                                          double* out) const;
-
-    /// Packed series kernel: out[k] = cell_irradiance of cell (x, y) at
-    /// step packed_to_step()[p0 + k] for k in [0, p1 - p0) — the
-    /// gather-free unit-stride sweep over daylight steps.  Bitwise
-    /// identical to cell_irradiance_series on the corresponding original
-    /// steps at any SIMD level.  cell_irradiance_series_unchecked calls
-    /// this automatically when its step span is a contiguous daylight
-    /// run (stride-1 per-anchor series), so callers only need it
-    /// when they already think in packed indices.  Validates the cell
-    /// and packed range (throws InvalidArgument).
-    void cell_irradiance_packed(int x, int y, long p0, long p1,
-                                double* out) const;
-
-    /// Unchecked fast path of cell_irradiance_packed.  Preconditions
-    /// (debug-asserted): cell inside the window,
-    /// 0 <= p0 <= p1 <= packed_steps().
-    void cell_irradiance_packed_unchecked(int x, int y, long p0, long p1,
                                           double* out) const;
 
     /// Module temperature [deg C] at the cell: Tair + k * G.
@@ -308,12 +247,9 @@ private:
     /// The site's step planes (shared, immutable).
     std::shared_ptr<const SharedSkyArtifact> sky_;
     /// The only tilt-dependent step planes: isotropic sky diffuse and
-    /// ground-reflected irradiance in the roof plane, and their
-    /// daylight-packed twins.
+    /// ground-reflected irradiance in the roof plane.
     std::vector<float> sky_diffuse_;
     std::vector<float> reflected_;
-    std::vector<float> p_sky_diffuse_;
-    std::vector<float> p_reflected_;
 };
 
 }  // namespace pvfp::solar

@@ -125,108 +125,11 @@ __attribute__((target("avx2"))) void cell_row_avx2(const FieldView& f,
     if (i < n) cell_row_scalar(f, y, s, x0 + i, x1, out + i);
 }
 
-__attribute__((target("avx2"))) void cell_packed_avx2(const FieldView& f,
-                                                      int x, int y, long p0,
-                                                      long p1, double* out) {
-    // Unit-stride sweep over the daylight-packed planes: every step
-    // plane is a contiguous load (the horizon angle lookups stay
-    // gathers — they index the per-cell angle planes by sector, which
-    // varies per step).
-    const long ci = static_cast<long>(y) * f.width + x;
-    const float* angles_cell = f.angles + ci;
-    const __m256d svf_v = _mm256_set1_pd(f.svf[ci]);
-    const __m256d zero = _mm256_setzero_pd();
-    const std::size_t n = static_cast<std::size_t>(p1 - p0);
-    const float* beam_p = f.p_beam_eq + p0;
-    const float* sky_p = f.p_sky_diffuse + p0;
-    const float* refl_p = f.p_reflected + p0;
-    const float* elev_p = f.p_sun_elevation + p0;
-    const float* se_p = f.p_sun_e + p0;
-    const float* sn_p = f.p_sun_n + p0;
-    const float* su_p = f.p_sun_u + p0;
-    const std::int32_t* sec0_p = f.p_hor_sec0 + p0;
-    const std::int32_t* sec1_p = f.p_hor_sec1 + p0;
-    const __m128i cells_v = _mm_set1_epi32(f.cells);
-    const double* frac_p = f.p_hor_frac + p0;
-
-    const bool uniform = f.norm_e == nullptr;
-    __m128 ne_v{}, nn_v{}, nu_v{};
-    __m256d pe_v{}, pn_v{}, pu_v{};
-    if (uniform) {
-        pe_v = _mm256_set1_pd(f.plane_e);
-        pn_v = _mm256_set1_pd(f.plane_n);
-        pu_v = _mm256_set1_pd(f.plane_u);
-    } else {
-        ne_v = _mm_set1_ps(f.norm_e[ci]);
-        nn_v = _mm_set1_ps(f.norm_n[ci]);
-        nu_v = _mm_set1_ps(f.norm_u[ci]);
-    }
-
-    std::size_t k = 0;
-    for (; k + 4 <= n; k += 4) {
-        const __m256d refl = load4_ps_pd(refl_p + k);
-        const __m256d sky = load4_ps_pd(sky_p + k);
-        const __m256d base =
-            _mm256_add_pd(refl, _mm256_mul_pd(svf_v, sky));
-
-        const __m256d beam = load4_ps_pd(beam_p + k);
-        const __m256d elev = load4_ps_pd(elev_p + k);
-        const __m256d frac = _mm256_loadu_pd(frac_p + k);
-        // Angle-plane offsets: sector index x cell count, the same
-        // int32 product the row kernels form per step.
-        const __m128i off0 = _mm_mullo_epi32(
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(sec0_p + k)),
-            cells_v);
-        const __m128i off1 = _mm_mullo_epi32(
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(sec1_p + k)),
-            cells_v);
-        const __m256d a0 =
-            _mm256_cvtps_pd(_mm_i32gather_ps(angles_cell, off0, 4));
-        const __m256d a1 =
-            _mm256_cvtps_pd(_mm_i32gather_ps(angles_cell, off1, 4));
-        const __m256d h = _mm256_add_pd(
-            a0, _mm256_mul_pd(_mm256_sub_pd(a1, a0), frac));
-
-        const __m128 se_ps = _mm_loadu_ps(se_p + k);
-        const __m128 sn_ps = _mm_loadu_ps(sn_p + k);
-        const __m128 su_ps = _mm_loadu_ps(su_p + k);
-        __m256d cosi;
-        if (uniform) {
-            cosi = _mm256_add_pd(
-                _mm256_add_pd(
-                    _mm256_mul_pd(pe_v, _mm256_cvtps_pd(se_ps)),
-                    _mm256_mul_pd(pn_v, _mm256_cvtps_pd(sn_ps))),
-                _mm256_mul_pd(pu_v, _mm256_cvtps_pd(su_ps)));
-        } else {
-            const __m128 cosi_ps = _mm_add_ps(
-                _mm_add_ps(_mm_mul_ps(ne_v, se_ps),
-                           _mm_mul_ps(nn_v, sn_ps)),
-                _mm_mul_ps(nu_v, su_ps));
-            cosi = _mm256_cvtps_pd(cosi_ps);
-        }
-
-        const __m256d lit = _mm256_and_pd(
-            _mm256_and_pd(_mm256_cmp_pd(beam, zero, _CMP_GT_OQ),
-                          _mm256_cmp_pd(elev, zero, _CMP_GT_OQ)),
-            _mm256_and_pd(_mm256_cmp_pd(elev, h, _CMP_GE_OQ),
-                          _mm256_cmp_pd(cosi, zero, _CMP_GT_OQ)));
-        const __m256d add = _mm256_and_pd(lit, _mm256_mul_pd(beam, cosi));
-        _mm256_storeu_pd(out + k, _mm256_add_pd(base, add));
-    }
-    if (k < n) cell_packed_scalar(f, x, y, p0 + static_cast<long>(k), p1,
-                                  out + k);
-}
-
 #else  // !PVFP_AVX2_KERNELS
 
 void cell_row_avx2(const FieldView& f, int y, long s, int x0, int x1,
                    double* out) {
     cell_row_scalar(f, y, s, x0, x1, out);
-}
-
-void cell_packed_avx2(const FieldView& f, int x, int y, long p0, long p1,
-                      double* out) {
-    cell_packed_scalar(f, x, y, p0, p1, out);
 }
 
 #endif  // PVFP_AVX2_KERNELS

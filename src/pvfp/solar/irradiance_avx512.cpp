@@ -6,8 +6,8 @@
 ///
 /// Two wins over the AVX2 tier: 8 double lanes per iteration instead
 /// of 4, and masked loads/stores on the final partial vector, so there
-/// is *no scalar tail loop* — short spans (narrow footprint row runs,
-/// short packed daylight runs) run entirely in vector code.
+/// is *no scalar tail loop* — short spans (narrow footprint row runs)
+/// run entirely in vector code.
 ///
 /// Bitwise contract, as in irradiance_avx2.cpp: elementwise mul/add/sub
 /// only — never FMA — in exactly the scalar kernels' association.  The
@@ -15,9 +15,8 @@
 /// which matches the scalar `? : 0.0` because the base term is always
 /// >= +0.0, so base + (+0.0) is a bitwise no-op.  Per-cell-normal cosi
 /// stays in float lanes and widens after; uniform-plane cosi runs in
-/// double lanes.  Masked-off gather lanes use index 0 (never read);
-/// masked-off load lanes read as 0.0 and their results are never
-/// stored.
+/// double lanes.  Masked-off load lanes read as 0.0 and their results
+/// are never stored.
 
 #include "pvfp/solar/irradiance_kernels.hpp"
 
@@ -39,16 +38,20 @@ bool avx512_kernels_compiled() { return PVFP_AVX512_KERNELS != 0; }
 
 namespace {
 
+/// All eight lanes.  Conversions and min/max below use the zero-source
+/// maskz forms under this mask: same bits as the unmasked forms, whose
+/// source GCC's headers leave undefined (-Wmaybe-uninitialized).
+constexpr __mmask8 kAll = 0xFF;
+
 /// Mask with the low min(rem, 8) bits set: all-on for full vectors,
 /// the partial tail mask otherwise.
 inline __mmask8 tail_mask(std::size_t rem) {
-    return rem >= 8 ? static_cast<__mmask8>(0xFF)
-                    : static_cast<__mmask8>((1u << rem) - 1u);
+    return rem >= 8 ? kAll : static_cast<__mmask8>((1u << rem) - 1u);
 }
 
 /// Masked load of 8 floats widened to 8 doubles (masked lanes 0.0).
 PVFP_AVX512 inline __m512d load8_ps_pd(__mmask8 m, const float* p) {
-    return _mm512_cvtps_pd(_mm256_maskz_loadu_ps(m, p));
+    return _mm512_maskz_cvtps_pd(kAll, _mm256_maskz_loadu_ps(m, p));
 }
 
 }  // namespace
@@ -130,100 +133,12 @@ PVFP_AVX512 void cell_row_avx512(const FieldView& f, int y, long s, int x0,
                 _mm256_mul_ps(_mm256_maskz_loadu_ps(m, ne + i), se_v),
                 _mm256_mul_ps(_mm256_maskz_loadu_ps(m, nn + i), sn_v)),
             _mm256_mul_ps(_mm256_maskz_loadu_ps(m, nu + i), su_v));
-        const __m512d cosi = _mm512_cvtps_pd(cosi_ps);
+        const __m512d cosi = _mm512_maskz_cvtps_pd(kAll, cosi_ps);
         const __mmask8 lit = static_cast<__mmask8>(
             _mm512_cmp_pd_mask(elev_v, h, _CMP_GE_OQ) &
             _mm512_cmp_pd_mask(cosi, zero, _CMP_GT_OQ));
         const __m512d add = _mm512_maskz_mul_pd(lit, beam_v, cosi);
         _mm512_mask_storeu_pd(out + i, m, _mm512_add_pd(base, add));
-    }
-}
-
-PVFP_AVX512 void cell_packed_avx512(const FieldView& f, int x, int y,
-                                    long p0, long p1, double* out) {
-    // Unit-stride sweep over the daylight-packed planes: contiguous masked loads everywhere except the per-cell
-    // horizon angle lookups, which stay (masked) gathers by sector
-    // offset.
-    const long ci = static_cast<long>(y) * f.width + x;
-    const float* angles_cell = f.angles + ci;
-    const __m512d svf_v = _mm512_set1_pd(f.svf[ci]);
-    const __m512d zero = _mm512_setzero_pd();
-    const __m256 zero_ps = _mm256_setzero_ps();
-    const std::size_t n = static_cast<std::size_t>(p1 - p0);
-    const float* beam_p = f.p_beam_eq + p0;
-    const float* sky_p = f.p_sky_diffuse + p0;
-    const float* refl_p = f.p_reflected + p0;
-    const float* elev_p = f.p_sun_elevation + p0;
-    const float* se_p = f.p_sun_e + p0;
-    const float* sn_p = f.p_sun_n + p0;
-    const float* su_p = f.p_sun_u + p0;
-    const std::int32_t* sec0_p = f.p_hor_sec0 + p0;
-    const std::int32_t* sec1_p = f.p_hor_sec1 + p0;
-    const __m256i cells_v = _mm256_set1_epi32(f.cells);
-    const double* frac_p = f.p_hor_frac + p0;
-
-    const bool uniform = f.norm_e == nullptr;
-    __m256 ne_v{}, nn_v{}, nu_v{};
-    __m512d pe_v{}, pn_v{}, pu_v{};
-    if (uniform) {
-        pe_v = _mm512_set1_pd(f.plane_e);
-        pn_v = _mm512_set1_pd(f.plane_n);
-        pu_v = _mm512_set1_pd(f.plane_u);
-    } else {
-        ne_v = _mm256_set1_ps(f.norm_e[ci]);
-        nn_v = _mm256_set1_ps(f.norm_n[ci]);
-        nu_v = _mm256_set1_ps(f.norm_u[ci]);
-    }
-
-    for (std::size_t k = 0; k < n; k += 8) {
-        const __mmask8 m = tail_mask(n - k);
-        const __m512d refl = load8_ps_pd(m, refl_p + k);
-        const __m512d sky = load8_ps_pd(m, sky_p + k);
-        const __m512d base =
-            _mm512_add_pd(refl, _mm512_mul_pd(svf_v, sky));
-
-        const __m512d beam = load8_ps_pd(m, beam_p + k);
-        const __m512d elev = load8_ps_pd(m, elev_p + k);
-        const __m512d frac = _mm512_maskz_loadu_pd(m, frac_p + k);
-        // Angle-plane offsets: sector index x cell count, the same
-        // int32 product the row kernels form per step (masked lanes
-        // load sector 0, offset 0, and are never gathered).
-        const __m256i off0 = _mm256_mullo_epi32(
-            _mm256_maskz_loadu_epi32(m, sec0_p + k), cells_v);
-        const __m256i off1 = _mm256_mullo_epi32(
-            _mm256_maskz_loadu_epi32(m, sec1_p + k), cells_v);
-        const __m512d a0 = _mm512_cvtps_pd(
-            _mm256_mmask_i32gather_ps(zero_ps, m, off0, angles_cell, 4));
-        const __m512d a1 = _mm512_cvtps_pd(
-            _mm256_mmask_i32gather_ps(zero_ps, m, off1, angles_cell, 4));
-        const __m512d h = _mm512_add_pd(
-            a0, _mm512_mul_pd(_mm512_sub_pd(a1, a0), frac));
-
-        const __m256 se_ps = _mm256_maskz_loadu_ps(m, se_p + k);
-        const __m256 sn_ps = _mm256_maskz_loadu_ps(m, sn_p + k);
-        const __m256 su_ps = _mm256_maskz_loadu_ps(m, su_p + k);
-        __m512d cosi;
-        if (uniform) {
-            cosi = _mm512_add_pd(
-                _mm512_add_pd(
-                    _mm512_mul_pd(pe_v, _mm512_cvtps_pd(se_ps)),
-                    _mm512_mul_pd(pn_v, _mm512_cvtps_pd(sn_ps))),
-                _mm512_mul_pd(pu_v, _mm512_cvtps_pd(su_ps)));
-        } else {
-            const __m256 cosi_ps = _mm256_add_ps(
-                _mm256_add_ps(_mm256_mul_ps(ne_v, se_ps),
-                              _mm256_mul_ps(nn_v, sn_ps)),
-                _mm256_mul_ps(nu_v, su_ps));
-            cosi = _mm512_cvtps_pd(cosi_ps);
-        }
-
-        const __mmask8 lit = static_cast<__mmask8>(
-            _mm512_cmp_pd_mask(beam, zero, _CMP_GT_OQ) &
-            _mm512_cmp_pd_mask(elev, zero, _CMP_GT_OQ) &
-            _mm512_cmp_pd_mask(elev, h, _CMP_GE_OQ) &
-            _mm512_cmp_pd_mask(cosi, zero, _CMP_GT_OQ));
-        const __m512d add = _mm512_maskz_mul_pd(lit, beam, cosi);
-        _mm512_mask_storeu_pd(out + k, m, _mm512_add_pd(base, add));
     }
 }
 
@@ -255,8 +170,9 @@ PVFP_AVX512 void bin_series_avx512(const double* g, std::size_t n,
         const __m512d gv = _mm512_maskz_loadu_pd(m, g + k);
 
         __m512d v = _mm512_div_pd(_mm512_sub_pd(gv, g_lo), g_w);
-        v = _mm512_max_pd(_mm512_min_pd(v, g_top), zero);
-        __m256i gi = _mm512_cvttpd_epi32(v);
+        v = _mm512_maskz_max_pd(kAll, _mm512_maskz_min_pd(kAll, v, g_top),
+                                zero);
+        __m256i gi = _mm512_maskz_cvttpd_epi32(kAll, v);
         gi = _mm256_mask_mov_epi32(
             gi, _mm512_cmp_pd_mask(gv, g_lo, _CMP_LE_OQ), zero_i);
         gi = _mm256_mask_mov_epi32(
@@ -267,8 +183,9 @@ PVFP_AVX512 void bin_series_avx512(const double* g, std::size_t n,
         const __m512d tv =
             _mm512_add_pd(ta_v, _mm512_mul_pd(kth_v, gv));
         v = _mm512_div_pd(_mm512_sub_pd(tv, t_lo), t_w);
-        v = _mm512_max_pd(_mm512_min_pd(v, t_top), zero);
-        __m256i ti = _mm512_cvttpd_epi32(v);
+        v = _mm512_maskz_max_pd(kAll, _mm512_maskz_min_pd(kAll, v, t_top),
+                                zero);
+        __m256i ti = _mm512_maskz_cvttpd_epi32(kAll, v);
         ti = _mm256_mask_mov_epi32(
             ti, _mm512_cmp_pd_mask(tv, t_lo, _CMP_LE_OQ), zero_i);
         ti = _mm256_mask_mov_epi32(
@@ -284,11 +201,6 @@ PVFP_AVX512 void bin_series_avx512(const double* g, std::size_t n,
 void cell_row_avx512(const FieldView& f, int y, long s, int x0, int x1,
                      double* out) {
     cell_row_scalar(f, y, s, x0, x1, out);
-}
-
-void cell_packed_avx512(const FieldView& f, int x, int y, long p0, long p1,
-                        double* out) {
-    cell_packed_scalar(f, x, y, p0, p1, out);
 }
 
 void bin_series_avx512(const double* g, std::size_t n, const double* t_air,

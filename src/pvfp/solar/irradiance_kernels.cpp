@@ -133,71 +133,6 @@ void cell_series_scalar(const FieldView& f, int x, int y, const long* steps,
     }
 }
 
-void cell_packed_scalar(const FieldView& f, int x, int y, long p0, long p1,
-                        double* out) {
-    // Unit-stride twin of cell_series_scalar over the daylight-packed
-    // planes.  The packed planes are bitwise copies of the step planes,
-    // so computing the identical expression over them reproduces the
-    // series kernel (and thus the scalar reference) bit for bit.  The
-    // full lit condition stays: a daylight step can still have
-    // beam_eq == 0 (no beam in the weather series) and the float-cast
-    // sun elevation of a barely-risen sun can round to 0.0f.
-    const long ci = static_cast<long>(y) * f.width + x;
-    const double svf = f.svf[ci];
-    const float* angles_cell = f.angles + ci;
-    const std::size_t n = static_cast<std::size_t>(p1 - p0);
-    const float* beam_p = f.p_beam_eq + p0;
-    const float* sky_p = f.p_sky_diffuse + p0;
-    const float* refl_p = f.p_reflected + p0;
-    const float* elev_p = f.p_sun_elevation + p0;
-    const float* se_p = f.p_sun_e + p0;
-    const float* sn_p = f.p_sun_n + p0;
-    const float* su_p = f.p_sun_u + p0;
-    const std::int32_t* sec0_p = f.p_hor_sec0 + p0;
-    const std::int32_t* sec1_p = f.p_hor_sec1 + p0;
-    const std::int32_t cells = f.cells;
-    const double* frac_p = f.p_hor_frac + p0;
-
-    if (f.norm_e != nullptr) {
-        const float ne = f.norm_e[ci];
-        const float nn = f.norm_n[ci];
-        const float nu = f.norm_u[ci];
-        for (std::size_t k = 0; k < n; ++k) {
-            const double base = static_cast<double>(refl_p[k]) +
-                                svf * static_cast<double>(sky_p[k]);
-            const double elev = elev_p[k];
-            const double a0 = angles_cell[sec0_p[k] * cells];
-            const double a1 = angles_cell[sec1_p[k] * cells];
-            const double h = a0 + (a1 - a0) * frac_p[k];
-            const double cosi =
-                ne * se_p[k] + nn * sn_p[k] + nu * su_p[k];
-            const bool lit = beam_p[k] > 0.0f && elev > 0.0 && elev >= h &&
-                             cosi > 0.0;
-            const double add =
-                lit ? static_cast<double>(beam_p[k]) * cosi : 0.0;
-            out[k] = base + add;
-        }
-        return;
-    }
-
-    for (std::size_t k = 0; k < n; ++k) {
-        const double base = static_cast<double>(refl_p[k]) +
-                            svf * static_cast<double>(sky_p[k]);
-        const double elev = elev_p[k];
-        const double a0 = angles_cell[sec0_p[k] * cells];
-        const double a1 = angles_cell[sec1_p[k] * cells];
-        const double h = a0 + (a1 - a0) * frac_p[k];
-        const double cosi = f.plane_e * static_cast<double>(se_p[k]) +
-                            f.plane_n * static_cast<double>(sn_p[k]) +
-                            f.plane_u * static_cast<double>(su_p[k]);
-        const bool lit =
-            beam_p[k] > 0.0f && elev > 0.0 && elev >= h && cosi > 0.0;
-        const double add =
-            lit ? static_cast<double>(beam_p[k]) * cosi : 0.0;
-        out[k] = base + add;
-    }
-}
-
 namespace {
 
 /// Histogram::bin_index(x) replicated branch-free: clamp the linear

@@ -2,16 +2,12 @@
 /// \file irradiance_kernels.hpp
 /// Internal batched irradiance kernels over a FieldView (SoA planes).
 ///
-/// Three shapes:
+/// Two shapes:
 ///  - row kernel:    fixed step, contiguous span of cells in one row
 ///    (scalar, AVX2, AVX-512);
 ///  - series kernel: fixed cell, arbitrary span of steps (gathers;
 ///    scalar only — SIMD twins measured 1.03-1.09x, below the 1.5x a
-///    twin must pay);
-///  - packed kernel: fixed cell, contiguous run of *daylight-packed*
-///    steps (unit-stride loads over the packed planes — the gather-free
-///    fast path of cell_irradiance_series for stride-1 daylight sweeps;
-///    scalar, AVX2, AVX-512).
+///    twin must pay).
 ///
 /// The scalar implementations are branch-free inner loops (horizon lerp
 /// + compare instead of is_shaded branching, masked beam term) written
@@ -27,7 +23,7 @@
 ///
 /// Preconditions (debug-asserted by the callers, validated at the
 /// IrradianceField boundary): row/cell inside the window, steps in
-/// range, packed runs inside [0, n_packed), out sized to the span.
+/// range, out sized to the span.
 
 #include <cstddef>
 #include <cstdint>
@@ -44,11 +40,6 @@ void cell_row_scalar(const FieldView& f, int y, long s, int x0, int x1,
 void cell_series_scalar(const FieldView& f, int x, int y, const long* steps,
                         std::size_t n, double* out);
 
-/// out[k] = G(x, y, packed_to_step[p0 + k]) for k in [0, p1 - p0):
-/// unit-stride sweep over the daylight-packed planes.
-void cell_packed_scalar(const FieldView& f, int x, int y, long p0, long p1,
-                        double* out);
-
 /// True when this build carries the AVX2 kernels (x86-64 compilers);
 /// callers must additionally check pvfp::cpu_supports_avx2() / the
 /// dispatch level before calling them.
@@ -58,20 +49,16 @@ bool avx2_kernels_compiled();
 /// time, checked by pvfp::cpu_supports_avx512()).
 bool avx512_kernels_compiled();
 
-/// AVX2 twins of the scalar kernels; fall back to the scalar kernels on
-/// builds where avx2_kernels_compiled() is false.
+/// AVX2 twin of the scalar row kernel; falls back to the scalar kernel
+/// on builds where avx2_kernels_compiled() is false.
 void cell_row_avx2(const FieldView& f, int y, long s, int x0, int x1,
                    double* out);
-void cell_packed_avx2(const FieldView& f, int x, int y, long p0, long p1,
-                      double* out);
 
-/// AVX-512 twins (masked tails — no scalar remainder loop); fall back
-/// to the scalar kernels on builds where avx512_kernels_compiled() is
+/// AVX-512 twin (masked tails — no scalar remainder loop); falls back
+/// to the scalar kernel on builds where avx512_kernels_compiled() is
 /// false.
 void cell_row_avx512(const FieldView& f, int y, long s, int x0, int x1,
                      double* out);
-void cell_packed_avx512(const FieldView& f, int x, int y, long p0, long p1,
-                        double* out);
 
 /// Signature shared by the row kernel tiers above.
 using RowKernel = void (*)(const FieldView& f, int y, long s, int x0, int x1,

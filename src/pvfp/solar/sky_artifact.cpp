@@ -31,25 +31,10 @@ SharedSkyArtifact make_validated_artifact(const Location& location,
     sky.env = std::move(env);
 
     const std::size_t n = sky.env.size();
-    sky.sun_azimuth.resize(n);
-    sky.sun_elevation.resize(n);
     sky.daylight.resize(n);
-    sky.sun_e.resize(n);
-    sky.sun_n.resize(n);
-    sky.sun_u.resize(n);
-    sky.beam_eq.resize(n);
     sky.dhi_iso.resize(n);
-    return sky;
-}
-
-/// Round the double series into the kernels' float step planes and
-/// compact their daylight-packed twins.  Each step writes only its own
-/// slots, so the fixed chunk grid keeps the planes bitwise identical at
-/// any thread count.
-void build_step_planes(SharedSkyArtifact& sky, int sectors) {
     SkyStepPlanes& p = sky.planes;
-    p.sectors = sectors;
-    const std::size_t n = sky.env.size();
+    p.sectors = azimuth_sectors;
     p.beam_eq.resize(n);
     p.temp_air.resize(n);
     p.sun_azimuth.resize(n);
@@ -60,63 +45,7 @@ void build_step_planes(SharedSkyArtifact& sky, int sectors) {
     p.hor_sec0.resize(n);
     p.hor_sec1.resize(n);
     p.hor_frac.resize(n);
-
-    parallel_for(0, sky.steps(), 4096, [&](long sb, long se) {
-        for (long s = sb; s < se; ++s) {
-            const std::size_t si = static_cast<std::size_t>(s);
-            const EnvSample& e = sky.env[si];
-            p.sun_azimuth[si] = static_cast<float>(sky.sun_azimuth[si]);
-            p.sun_elevation[si] = static_cast<float>(sky.sun_elevation[si]);
-            p.temp_air[si] = static_cast<float>(e.temp_air_c);
-            p.sun_e[si] = static_cast<float>(sky.sun_e[si]);
-            p.sun_n[si] = static_cast<float>(sky.sun_n[si]);
-            p.sun_u[si] = static_cast<float>(sky.sun_u[si]);
-            p.beam_eq[si] = e.ghi > 0.0 || e.dhi > 0.0
-                                ? static_cast<float>(sky.beam_eq[si])
-                                : 0.0f;
-            // Horizon interpolation for this step's (float) sun azimuth
-            // — exactly the arithmetic of
-            // HorizonMap::horizon_at_unchecked, so the batch kernels
-            // reproduce the scalar lookup bit for bit.
-            const double pos =
-                wrap_two_pi(static_cast<double>(p.sun_azimuth[si])) /
-                kTwoPi * sectors;
-            const int s0 = static_cast<int>(pos) % sectors;
-            p.hor_sec0[si] = s0;
-            p.hor_sec1[si] = (s0 + 1) % sectors;
-            p.hor_frac[si] = pos - std::floor(pos);
-        }
-    });
-
-    // Daylight-packed twins: a stride-1 daylight sweep (the incremental
-    // evaluator's per-anchor series) maps to a contiguous packed run and
-    // reads these unit-stride with no gathers and no night lanes.
-    p.step_to_packed.assign(n, -1);
-    const std::size_t nd = static_cast<std::size_t>(
-        std::count(sky.daylight.begin(), sky.daylight.end(), 1));
-    p.p_beam_eq.resize(nd);
-    p.p_sun_elevation.resize(nd);
-    p.p_sun_e.resize(nd);
-    p.p_sun_n.resize(nd);
-    p.p_sun_u.resize(nd);
-    p.p_hor_sec0.resize(nd);
-    p.p_hor_sec1.resize(nd);
-    p.p_hor_frac.resize(nd);
-    p.packed_to_step.reserve(nd);
-    for (std::size_t si = 0; si < n; ++si) {
-        if (sky.daylight[si] == 0) continue;
-        const std::size_t k = p.packed_to_step.size();
-        p.step_to_packed[si] = static_cast<long>(k);
-        p.p_beam_eq[k] = p.beam_eq[si];
-        p.p_sun_elevation[k] = p.sun_elevation[si];
-        p.p_sun_e[k] = p.sun_e[si];
-        p.p_sun_n[k] = p.sun_n[si];
-        p.p_sun_u[k] = p.sun_u[si];
-        p.p_hor_sec0[k] = p.hor_sec0[si];
-        p.p_hor_sec1[k] = p.hor_sec1[si];
-        p.p_hor_frac[k] = p.hor_frac[si];
-        p.packed_to_step.push_back(static_cast<long>(si));
-    }
+    return sky;
 }
 
 }  // namespace
@@ -129,6 +58,7 @@ SharedSkyArtifact prepare_sky_artifact(const Location& location,
     SharedSkyArtifact sky = make_validated_artifact(
         location, grid, std::move(env), sky_model, azimuth_sectors);
     const bool hay = sky_model == SkyModel::HayDavies;
+    SkyStepPlanes& p = sky.planes;
 
     // Per-day ephemeris tables: declination, equation of time, and the
     // extraterrestrial irradiance only change once per day, so the
@@ -161,9 +91,11 @@ SharedSkyArtifact prepare_sky_artifact(const Location& location,
 
     // The per-step sweep splits into four passes per chunk: libm trig
     // of the hour angle, the geometry kernel, libm angles + sun vector,
-    // and the transposition kernel.  Each step writes only its own
-    // slots, so the fixed chunk grid keeps the result bitwise-identical
-    // at any thread count.
+    // and the transposition kernel; a last pass rounds the chunk's
+    // beam into its float plane.  The double sun position and beam live
+    // only in chunk scratch.  Each step writes only its own slots, so
+    // the fixed chunk grid keeps the result bitwise-identical at any
+    // thread count.
     parallel_for(0, grid.total_steps(), 512, [&](long sb, long se) {
         const std::size_t cn = static_cast<std::size_t>(se - sb);
         std::vector<double> cos_h(cn);
@@ -175,6 +107,7 @@ SharedSkyArtifact prepare_sky_artifact(const Location& location,
         std::vector<double> ghi(cn);
         std::vector<double> dni(cn);
         std::vector<double> dhi(cn);
+        std::vector<double> beam_eq(cn);
 
         for (long s = sb; s < se; ++s) {
             const std::size_t i = static_cast<std::size_t>(s - sb);
@@ -203,16 +136,28 @@ SharedSkyArtifact prepare_sky_artifact(const Location& location,
             // exactly as sun_position clamps before asin.
             const double el = std::asin(up[i]);
             const double az = wrap_two_pi(std::atan2(east[i], north[i]));
-            sky.sun_azimuth[si] = az;
-            sky.sun_elevation[si] = el;
             sky.daylight[si] = el > 0.0 ? 1 : 0;
             const double cos_el = std::cos(el);
-            sky.sun_e[si] = cos_el * std::sin(az);
-            sky.sun_n[si] = cos_el * std::cos(az);
             const double s_el = std::sin(el);
-            sky.sun_u[si] = s_el;
+            const float az_f = static_cast<float>(az);
+            p.sun_azimuth[si] = az_f;
+            p.sun_elevation[si] = static_cast<float>(el);
+            p.sun_e[si] = static_cast<float>(cos_el * std::sin(az));
+            p.sun_n[si] = static_cast<float>(cos_el * std::cos(az));
+            p.sun_u[si] = static_cast<float>(s_el);
+            // Horizon interpolation for this step's (float) sun azimuth
+            // — exactly the arithmetic of
+            // HorizonMap::horizon_at_unchecked, so the batch kernels
+            // reproduce the scalar lookup bit for bit.
+            const double pos = wrap_two_pi(static_cast<double>(az_f)) /
+                               kTwoPi * azimuth_sectors;
+            const int s0 = static_cast<int>(pos) % azimuth_sectors;
+            p.hor_sec0[si] = s0;
+            p.hor_sec1[si] = (s0 + 1) % azimuth_sectors;
+            p.hor_frac[si] = pos - std::floor(pos);
             sin_el[i] = s_el;
             const EnvSample& e = sky.env[si];
+            p.temp_air[si] = static_cast<float>(e.temp_air_c);
             ghi[i] = e.ghi;
             dni[i] = e.dni;
             dhi[i] = e.dhi;
@@ -227,11 +172,15 @@ SharedSkyArtifact prepare_sky_artifact(const Location& location,
                 sin_el.data() + off, sky.daylight.data() + ri,
                 static_cast<std::size_t>(r1 - r0),
                 day_eo[static_cast<std::size_t>(d)], hay,
-                sky.beam_eq.data() + ri, sky.dhi_iso.data() + ri);
+                beam_eq.data() + off, sky.dhi_iso.data() + ri);
             r0 = r1;
         }
+        // A step with no irradiance input gets beam_eq = +0.0, which
+        // rounds to the +0.0f the kernels test against.
+        for (std::size_t i = 0; i < cn; ++i)
+            p.beam_eq[static_cast<std::size_t>(sb) + i] =
+                static_cast<float>(beam_eq[i]);
     });
-    build_step_planes(sky, azimuth_sectors);
     return sky;
 }
 

@@ -14,15 +14,18 @@
 /// shared_ptr) to every IrradianceField it builds.
 ///
 /// What the artifact owns:
-///  - the validated env series and the full-precision (double) per-step
-///    series the physics is computed in;
-///  - SkyStepPlanes: the float step planes the irradiance kernels read
+///  - the validated env series, the per-step daylight flags and the
+///    isotropic diffuse share (double), from which each roof field
+///    derives its two tilt-dependent planes (sky diffuse, ground
+///    reflected);
+///  - SkyStepPlanes: every other step plane the irradiance kernels read
 ///    (beam, air temperature, sun angles and vector, the two bracketing
-///    horizon-sector indices and the lerp fraction), their
-///    daylight-packed twins and the step <-> packed index maps.  These
-///    are built eagerly for one horizon sector count and shared by every
-///    roof field, which keeps only its two tilt-dependent planes (sky
-///    diffuse, ground reflected) and their packed twins.
+///    horizon-sector indices and the lerp fraction), built eagerly for
+///    one horizon sector count and shared by every roof field.
+///
+/// The sun position and beam magnitude are computed in double precision
+/// and rounded straight into their float planes; the doubles live only
+/// in the prepare's per-chunk scratch.
 ///
 /// The artifact path is *bitwise identical* to the self-contained
 /// IrradianceField constructor, which simply prepares a private artifact
@@ -49,9 +52,9 @@ struct EnvSample {
 };
 
 /// Roof-independent float step planes read by the irradiance kernels
-/// (solar/irradiance_kernels.hpp), rounded from the artifact's double
-/// series.  Built for one horizon sector count: the bracketing sector
-/// indices of each step's sun azimuth replicate
+/// (solar/irradiance_kernels.hpp), rounded from the prepare's double
+/// per-step values.  Built for one horizon sector count: the bracketing
+/// sector indices of each step's sun azimuth replicate
 /// geo::HorizonMap::horizon_at_unchecked bit for bit, and a field
 /// multiplies them by its window's cell count to address its angle
 /// planes.
@@ -74,47 +77,21 @@ struct SkyStepPlanes {
     std::vector<std::int32_t> hor_sec0;
     std::vector<std::int32_t> hor_sec1;
     std::vector<double> hor_frac;
-    // Daylight-packed twins: bitwise copies of the planes above over
-    // daylight steps only, in step order.
-    std::vector<float> p_beam_eq;
-    std::vector<float> p_sun_elevation;
-    std::vector<float> p_sun_e;
-    std::vector<float> p_sun_n;
-    std::vector<float> p_sun_u;
-    std::vector<std::int32_t> p_hor_sec0;
-    std::vector<std::int32_t> p_hor_sec1;
-    std::vector<double> p_hor_frac;
-    /// Original step of each packed index (ascending).
-    std::vector<long> packed_to_step;
-    /// Packed index of each step, -1 on night steps.
-    std::vector<long> step_to_packed;
 };
 
-/// Roof-independent per-step sky state: env series, sun positions, the
-/// transposition terms that do not involve the roof plane, and the
-/// float step planes built from them.  Prepared once per (location,
-/// grid, env, sky model, sector count) and consumed immutably by any
-/// number of IrradianceFields.
+/// Roof-independent per-step sky state: env series, daylight flags, the
+/// isotropic diffuse share, and the float step planes of the sun
+/// position and beam.  Prepared once per (location, grid, env, sky
+/// model, sector count) and consumed immutably by any number of
+/// IrradianceFields.
 struct SharedSkyArtifact {
     Location location;
     pvfp::TimeGrid grid{};
     SkyModel sky_model = SkyModel::HayDavies;
     /// The validated env series (one sample per grid step).
     std::vector<EnvSample> env;
-
-    // Per-step precompute, all full precision (the step planes round
-    // these to float).
-    std::vector<double> sun_azimuth;    ///< [rad], clockwise from North
-    std::vector<double> sun_elevation;  ///< [rad]
-    std::vector<std::uint8_t> daylight; ///< sun above horizon
-    /// Sun unit vector (east, north, up).
-    std::vector<double> sun_e;
-    std::vector<double> sun_n;
-    std::vector<double> sun_u;
-    /// Normal-equivalent beam magnitude [W/m^2]: DNI plus, under
-    /// Hay-Davies, the circumsolar share of the diffuse (horizon-guarded
-    /// exactly like the transposition model).
-    std::vector<double> beam_eq;
+    /// Sun above the horizon, from the double elevation (el > 0).
+    std::vector<std::uint8_t> daylight;
     /// Isotropic share of DHI [W/m^2] (DHI minus the circumsolar share
     /// under Hay-Davies; DHI itself under the isotropic model).  The
     /// per-roof in-plane sky diffuse is dhi_iso * (1 + cos(tilt)) / 2.
@@ -131,10 +108,11 @@ struct SharedSkyArtifact {
 /// per-step sun-position + transposition precompute over the
 /// deterministic parallel substrate (fixed chunks — same bits at any
 /// thread count) with per-day ephemeris constants hoisted (association
-/// preserved), then builds the step planes for \p azimuth_sectors.
-/// Fields whose horizon map has another sector count reject the
-/// artifact.  tests/oracles/sky_reference pins every series and plane
-/// against the unbatched per-step loop bit for bit.
+/// preserved), rounding each step into the step planes for
+/// \p azimuth_sectors in the same chunk.  Fields whose horizon map has
+/// another sector count reject the artifact.  tests/oracles/sky_reference
+/// pins every series and plane against the unbatched per-step loop bit
+/// for bit.
 SharedSkyArtifact prepare_sky_artifact(
     const Location& location, const pvfp::TimeGrid& grid,
     std::vector<EnvSample> env, SkyModel sky_model,

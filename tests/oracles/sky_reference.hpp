@@ -3,11 +3,11 @@
 /// Differential oracle for solar::prepare_sky_artifact: the unbatched
 /// per-step loop the library shipped before its batched sweep (one
 /// sun_position call plus the inline transposition block per step),
-/// followed by the per-step float rounding, horizon-sector
-/// interpolation and daylight packing that every IrradianceField ran
-/// for itself before the step planes moved into the artifact.  It is
-/// the reference the batched prepare must match bit for bit, series and
-/// planes alike, not a production path.
+/// followed by the per-step float rounding and horizon-sector
+/// interpolation that every IrradianceField ran for itself before the
+/// step planes moved into the artifact.  It is the reference the
+/// batched prepare must match bit for bit, series and planes alike, not
+/// a production path.
 
 #include "pvfp/solar/sky_artifact.hpp"
 

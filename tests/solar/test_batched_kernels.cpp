@@ -226,69 +226,42 @@ TEST(BatchedKernels, AnchorSeriesMatchesScalarAcrossModes) {
     }
 }
 
-TEST(BatchedKernels, PackedPlanesMatchUnpackedSeries) {
-    // The daylight-packed planes are bitwise copies: sweeping them via
-    // cell_irradiance_packed must reproduce the scalar per-step
-    // reference on the mapped original steps, at every dispatch level.
-    SimdLevelGuard guard;
-    for (const auto& spec : all_specs()) {
-        const auto field = random_field(spec);
-        const auto packed = field.packed_to_step();
-        ASSERT_GT(field.packed_steps(), 0);
-        std::vector<double> out(packed.size());
-        for (const SimdLevel level : runnable_levels()) {
-            set_simd_level(level);
-            for (int y = 0; y < field.height(); y += 2)
-                for (int x = 0; x < field.width(); x += 3) {
-                    field.cell_irradiance_packed(
-                        x, y, 0, field.packed_steps(), out.data());
-                    for (std::size_t k = 0; k < packed.size(); ++k)
-                        ASSERT_EQ(out[k], field.cell_irradiance_unchecked(
-                                              x, y, packed[k]))
-                            << "packed mismatch at x=" << x << " y=" << y
-                            << " k=" << k << " level="
-                            << simd_level_name(level);
-                }
-        }
-    }
-}
-
-TEST(BatchedKernels, SeriesDetectsContiguousDaylightRuns) {
-    // A step span that lists every daylight step between its endpoints
-    // (what the stride-1 evaluator shards produce) takes the packed
-    // fast path inside cell_irradiance_series; the result must stay
-    // bitwise identical to the scalar reference.  Also probe sub-runs
-    // crossing a night gap (contiguous in packed space) and spans that
-    // must *not* match (scrambled, strided, night-leading).
+TEST(BatchedKernels, SeriesMatchesScalarOnDaylightSpans) {
+    // The step spans the placers' series builds produce: every daylight
+    // step (the stride-1 incremental evaluator), a sub-run crossing
+    // night gaps, a single step, a daylight stride, a scrambled order
+    // and a night step leading daylight ones.  Each must stay bitwise
+    // identical to the scalar reference at every dispatch level.
     SimdLevelGuard guard;
     RandomFieldSpec spec;
     spec.seed = 777;
     spec.normals = true;
     const auto field = random_field(spec);
-    const auto packed = field.packed_to_step();
-    ASSERT_GT(packed.size(), 8u);
+    std::vector<long> daylight;
+    for (long s = 0; s < field.steps(); ++s)
+        if (field.is_daylight(s)) daylight.push_back(s);
+    ASSERT_GT(daylight.size(), 8u);
 
     std::vector<std::vector<long>> spans;
-    spans.emplace_back(packed.begin(), packed.end());  // full daylight run
-    spans.emplace_back(packed.begin() + 3,
-                       packed.begin() + static_cast<long>(packed.size()) - 2);
-    spans.push_back({packed[4]});
+    spans.push_back(daylight);  // full daylight run
+    spans.emplace_back(daylight.begin() + 3, daylight.end() - 2);
+    spans.push_back({daylight[4]});
     {
-        std::vector<long> strided;  // daylight stride 2: not contiguous
-        for (std::size_t k = 0; k < packed.size(); k += 2)
-            strided.push_back(packed[k]);
+        std::vector<long> strided;  // every second daylight step
+        for (std::size_t k = 0; k < daylight.size(); k += 2)
+            strided.push_back(daylight[k]);
         spans.push_back(std::move(strided));
     }
     spans.push_back(scrambled_steps(field, 11));
     {
-        std::vector<long> night_first;  // night step leads: gather path
+        std::vector<long> night_first;  // a night step leads
         for (long s = 0; s < field.steps(); ++s)
             if (!field.is_daylight(s)) {
                 night_first.push_back(s);
                 break;
             }
-        night_first.insert(night_first.end(), packed.begin(),
-                           packed.begin() + 5);
+        night_first.insert(night_first.end(), daylight.begin(),
+                           daylight.begin() + 5);
         spans.push_back(std::move(night_first));
     }
 
@@ -303,39 +276,11 @@ TEST(BatchedKernels, SeriesDetectsContiguousDaylightRuns) {
                         ASSERT_EQ(out[k], field.cell_irradiance_unchecked(
                                               x, y, steps[k]))
                             << "span size " << steps.size() << " x=" << x
-                            << " y=" << y << " k=" << k;
+                            << " y=" << y << " k=" << k << " level="
+                            << simd_level_name(level);
                 }
         }
     }
-}
-
-TEST(BatchedKernels, PackedIndexMapsAreConsistent) {
-    RandomFieldSpec spec;
-    spec.seed = 555;
-    const auto field = random_field(spec);
-    const auto packed = field.packed_to_step();
-    long count = 0;
-    for (long s = 0; s < field.steps(); ++s) {
-        const long p = field.packed_index(s);
-        if (field.is_daylight(s)) {
-            ASSERT_EQ(p, count);
-            ASSERT_EQ(packed[static_cast<std::size_t>(p)], s);
-            ++count;
-        } else {
-            ASSERT_EQ(p, -1);
-        }
-    }
-    EXPECT_EQ(count, field.packed_steps());
-    EXPECT_EQ(count, static_cast<long>(packed.size()));
-    double out[1];
-    EXPECT_THROW(
-        field.cell_irradiance_packed(0, 0, 0, field.packed_steps() + 1, out),
-        InvalidArgument);
-    EXPECT_THROW(field.cell_irradiance_packed(0, 0, -1, 0, out),
-                 InvalidArgument);
-    EXPECT_THROW(
-        field.cell_irradiance_packed(field.width(), 0, 0, 1, out),
-        InvalidArgument);
 }
 
 TEST(BatchedKernels, SimdLevelsAgreeBitwise) {

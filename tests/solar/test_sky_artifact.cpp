@@ -84,12 +84,13 @@ template <typename T>
 void expect_artifacts_bitwise_equal(const SharedSkyArtifact& a,
                                     const SharedSkyArtifact& b,
                                     const std::string& what) {
-    EXPECT_TRUE(same_bits(a.sun_azimuth, b.sun_azimuth)) << what;
-    EXPECT_TRUE(same_bits(a.sun_elevation, b.sun_elevation)) << what;
-    EXPECT_TRUE(same_bits(a.sun_e, b.sun_e)) << what;
-    EXPECT_TRUE(same_bits(a.sun_n, b.sun_n)) << what;
-    EXPECT_TRUE(same_bits(a.sun_u, b.sun_u)) << what;
-    EXPECT_TRUE(same_bits(a.beam_eq, b.beam_eq)) << what;
+    // Every field any output reads: the env series, the daylight flags,
+    // the isotropic diffuse share and every step plane.
+    // EnvSample is four doubles with no padding.
+    EXPECT_TRUE(a.env.size() == b.env.size() &&
+                std::memcmp(a.env.data(), b.env.data(),
+                            a.env.size() * sizeof(EnvSample)) == 0)
+        << what << " env";
     EXPECT_TRUE(same_bits(a.dhi_iso, b.dhi_iso)) << what;
     EXPECT_TRUE(same_bits(a.daylight, b.daylight)) << what;
     const SkyStepPlanes& p = a.planes;
@@ -105,16 +106,6 @@ void expect_artifacts_bitwise_equal(const SharedSkyArtifact& a,
     EXPECT_TRUE(same_bits(p.hor_sec0, q.hor_sec0)) << what;
     EXPECT_TRUE(same_bits(p.hor_sec1, q.hor_sec1)) << what;
     EXPECT_TRUE(same_bits(p.hor_frac, q.hor_frac)) << what;
-    EXPECT_TRUE(same_bits(p.p_beam_eq, q.p_beam_eq)) << what;
-    EXPECT_TRUE(same_bits(p.p_sun_elevation, q.p_sun_elevation)) << what;
-    EXPECT_TRUE(same_bits(p.p_sun_e, q.p_sun_e)) << what;
-    EXPECT_TRUE(same_bits(p.p_sun_n, q.p_sun_n)) << what;
-    EXPECT_TRUE(same_bits(p.p_sun_u, q.p_sun_u)) << what;
-    EXPECT_TRUE(same_bits(p.p_hor_sec0, q.p_hor_sec0)) << what;
-    EXPECT_TRUE(same_bits(p.p_hor_sec1, q.p_hor_sec1)) << what;
-    EXPECT_TRUE(same_bits(p.p_hor_frac, q.p_hor_frac)) << what;
-    EXPECT_TRUE(same_bits(p.packed_to_step, q.packed_to_step)) << what;
-    EXPECT_TRUE(same_bits(p.step_to_packed, q.step_to_packed)) << what;
 }
 
 TEST(SkyArtifact, BatchedPrepareMatchesReferenceBitwise) {
@@ -264,28 +255,14 @@ TEST(SkyArtifact, FieldsShareTheSitePlanesAndStayExact) {
         EXPECT_EQ(v.hor_sec0, p.hor_sec0.data());
         EXPECT_EQ(v.hor_sec1, p.hor_sec1.data());
         EXPECT_EQ(v.hor_frac, p.hor_frac.data());
-        EXPECT_EQ(v.p_beam_eq, p.p_beam_eq.data());
-        EXPECT_EQ(v.p_sun_elevation, p.p_sun_elevation.data());
-        EXPECT_EQ(v.p_sun_e, p.p_sun_e.data());
-        EXPECT_EQ(v.p_sun_n, p.p_sun_n.data());
-        EXPECT_EQ(v.p_sun_u, p.p_sun_u.data());
-        EXPECT_EQ(v.p_hor_sec0, p.p_hor_sec0.data());
-        EXPECT_EQ(v.p_hor_sec1, p.p_hor_sec1.data());
-        EXPECT_EQ(v.p_hor_frac, p.p_hor_frac.data());
     }
-    EXPECT_EQ(flat.packed_to_step().data(), p.packed_to_step.data());
-    EXPECT_EQ(steep.packed_to_step().data(), p.packed_to_step.data());
     // The tilt-dependent planes are each roof's own.
     EXPECT_NE(a.sky_diffuse, b.sky_diffuse);
     EXPECT_NE(a.reflected, b.reflected);
-    EXPECT_NE(a.p_sky_diffuse, b.p_sky_diffuse);
-    EXPECT_NE(a.p_reflected, b.p_reflected);
 
     std::vector<long> all_steps(static_cast<std::size_t>(flat.steps()));
     for (long s = 0; s < flat.steps(); ++s)
         all_steps[static_cast<std::size_t>(s)] = s;
-    const std::span<const long> daylight = flat.packed_to_step();
-    ASSERT_GT(daylight.size(), 0u);
     for (const IrradianceField* field : {&flat, &steep}) {
         const int w = field->width();
         for (const SimdLevel lvl : runnable_levels()) {
@@ -303,22 +280,14 @@ TEST(SkyArtifact, FieldsShareTheSitePlanesAndStayExact) {
                             << what << " row y " << y << " step " << s;
                 }
             std::vector<double> series(all_steps.size());
-            std::vector<double> packed(daylight.size());
             for (int y = 0; y < field->height(); ++y)
                 for (int x = 0; x < w; ++x) {
                     field->cell_irradiance_series(x, y, all_steps,
                                                   series.data());
-                    field->cell_irradiance_packed(
-                        x, y, 0, static_cast<long>(daylight.size()),
-                        packed.data());
                     for (long s = 0; s < field->steps(); ++s)
                         ASSERT_EQ(series[static_cast<std::size_t>(s)],
                                   field->cell_irradiance_unchecked(x, y, s))
                             << what << " series (" << x << "," << y << ")";
-                    for (std::size_t k = 0; k < daylight.size(); ++k)
-                        ASSERT_EQ(packed[k], field->cell_irradiance_unchecked(
-                                                 x, y, daylight[k]))
-                            << what << " packed (" << x << "," << y << ")";
                 }
             set_simd_level_auto();
         }
